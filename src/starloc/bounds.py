@@ -115,7 +115,7 @@ def entropy_integral(
         return Aq * (b**e - (a**e if a > 0 else 0.0)) / e
 
     def sqrt_h(s: np.ndarray) -> np.ndarray:
-        return np.sqrt([entropy_eval(profile, float(x), sample) for x in s])
+        return np.sqrt(entropy_eval(profile, s, sample))
 
     if a == 0.0 and profile.variant == "power_law":
         # star-hull-corrected power law: substitute s = b t^r, r = 2/(2-q),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -50,7 +51,7 @@ def _header(seed: int, config: dict) -> dict:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -227,12 +228,17 @@ def cmd_offset(args) -> int:
     cls = load_class_spec(args.class_spec)
     if not isinstance(cls, FiniteClass):
         raise CliError("offset estimation needs a finite class spec")
+    members = cls.effective_members()
+    if args.reference_index is not None and not 0 <= args.reference_index < len(members):
+        raise CliError(
+            f"--reference-index must lie in 0..{len(members) - 1} for a {len(members)}-member class"
+        )
     if args.kind in ("mu_d", "uniform_convex"):
         if args.reference_index is not None:
-            reference = cls.effective_members()[args.reference_index]
+            reference = members[args.reference_index]
         else:
             idx, _ = erm_finite(model, cls, sample)
-            reference = cls.effective_members()[idx]
+            reference = members[idx]
     else:
         reference = None
     est = offset_complexity_mc(
@@ -295,6 +301,8 @@ def cmd_bound(args) -> int:
         value = bigglm_rate(params["q"], params["regime"], params["A"], params["n"])
     else:  # unreachable through argparse choices
         raise CliError(f"unknown bound kind {args.kind!r}")
+    if not math.isfinite(value):
+        raise CliError(f"{args.kind} bound diverges for these parameters (value {value})")
     payload = _header(args.seed, {"kind": args.kind, "params": params})
     payload["value"] = value
     _emit_json(payload, args.out)
@@ -332,9 +340,7 @@ def cmd_experiment(args) -> int:
     if config.name in ("ploss_rate", "bound_vs_empirical"):
         rows = bound_vs_empirical(config, result)
         summary["bound_vs_empirical"] = [[n, q, b] for n, q, b in rows]
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _emit_json(summary, str(out_dir / "summary.json"))
     (out_dir / "plot.svg").write_text(
         rate_plot_svg(config.name, result.reports), encoding="utf-8"
     )
@@ -410,6 +416,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "draws", 1) < 1:
         parser.error("--draws must be at least 1")
+    if getattr(args, "levels", 1) < 1:
+        parser.error("--levels must be at least 1")
     try:
         return args.func(args)
     except CliError as exc:

@@ -56,11 +56,9 @@ def _mix_enumeration(n_members: int, lambda_levels: int):
     Pairs run over i < j with interior mixing weights only (endpoints
     reproduce the members), so the member rows appear exactly once.
     """
-    if lambda_levels < 2:
-        # Levels 0/1 grids contain only the endpoints.
-        interior = np.empty(0)
-    else:
-        interior = np.arange(1, lambda_levels) / lambda_levels
+    if lambda_levels < 1:
+        raise ValueError("lambda_levels must be >= 1")
+    interior = np.arange(1, lambda_levels) / lambda_levels  # empty for L = 1
     singles = [(i, i, 1.0) for i in range(n_members)]
     pairs = [
         (i, j, float(lam))
@@ -77,8 +75,6 @@ def discretize_fprime(cls: FiniteClass, lambda_levels: int = DEFAULT_LAMBDA_LEVE
     Contains the original class (the lam = 1 diagonal); size is at most
     M + M(M-1)(L-1)/2 <= M^2 (L+1).
     """
-    if lambda_levels < 2 and lambda_levels != 1:
-        raise ValueError("lambda_levels must be >= 1")
     members = cls.effective_members()
     out = []
     for i, j, lam in _mix_enumeration(len(members), lambda_levels):
@@ -105,9 +101,51 @@ def fprime_matrix(
 
 def _check_signs(signs, n):
     signs = np.asarray(signs, dtype=float)
-    if signs.shape != (n,) or not np.all(np.abs(signs) == 1.0):
-        raise ValueError("signs must be a vector of +/-1 matching the sample size")
+    if (
+        signs.ndim not in (1, 2)
+        or signs.shape[-1] != n
+        or signs.size == 0
+        or not np.all(np.abs(signs) == 1.0)
+    ):
+        raise ValueError("signs must be a +/-1 vector, or a matrix of +/-1 rows, matching the sample size")
     return signs
+
+
+def _exp_concave_coefficient(model: LossModel) -> float:
+    return model.eta / max(18.0 * model.m * model.eta, 36.0)
+
+
+def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Per-row pair suprema of (4/n)(t_i - t_j) - (coef/n)|psi_i - psi_j|^2, t = psi S[d].
+
+    Each _PAIR_CHUNK block of penalties is built once and shared by every
+    draw; per draw only t and the masked block maximum are computed.
+    """
+    size, n = psi_f.shape
+    coef = _exp_concave_coefficient(model) / n
+    ts = [psi_f @ s for s in S]
+    q = np.einsum("ij,ij->i", psi_f, psi_f)
+    best = [-math.inf] * len(S)
+    buf = np.empty((min(_PAIR_CHUNK, size), size))
+    for s0 in range(0, size, _PAIR_CHUNK):
+        s1 = min(s0 + _PAIR_CHUNK, size)
+        block = buf[: s1 - s0]
+        rows = np.arange(s0, s1)
+        diag = (rows - s0, rows)
+        pen = psi_f[s0:s1] @ psi_f.T
+        pen *= 2.0
+        np.subtract(np.add(q[s0:s1, None], q[None, :], out=block), pen, out=pen)
+        np.maximum(pen, 0.0, out=pen)
+        pen *= coef
+        for d, t in enumerate(ts):
+            np.subtract(t[s0:s1, None], t[None, :], out=block)
+            block *= 4.0 / n
+            block -= pen
+            # the diagonal pair is identically zero; keep it exact so the
+            # supremum over pairs is never pulled below 0 by roundoff
+            block[diag] = 0.0
+            best[d] = max(best[d], float(block.max()))
+    return np.array(best)
 
 
 def offset_sup_one_draw(
@@ -117,8 +155,13 @@ def offset_sup_one_draw(
     sample: Sample,
     signs,
     offset_kind: str,
-) -> float:
-    """Exact enumeration supremum for one sign vector.
+) -> float | np.ndarray:
+    """Exact enumeration supremum for one sign vector, or for each row of a sign matrix.
+
+    signs of shape (n,) give a float; signs of shape (draws, n) give an
+    array of draws suprema, each bit-identical to the single-vector call on
+    that row. The losses, pair distances and penalties do not depend on the
+    signs and are computed once per call.
 
     mu_d and uniform_convex maximize over members against the fixed
     reference; exp_concave maximizes over ordered member pairs (the
@@ -129,43 +172,30 @@ def offset_sup_one_draw(
         raise ValueError("empty class")
     n = sample.n
     signs = _check_signs(signs, n)
+    S = np.atleast_2d(signs)
     target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
     psi_f = eval_loss(model, F, target)
 
     if offset_kind == "exp_concave":
-        coef = model.eta / max(18.0 * model.m * model.eta, 36.0)
-        t = psi_f @ signs
-        q = np.einsum("ij,ij->i", psi_f, psi_f)
-        best = -np.inf
-        for s0 in range(0, F.shape[0], _PAIR_CHUNK):
-            s1 = min(s0 + _PAIR_CHUNK, F.shape[0])
-            K = psi_f[s0:s1] @ psi_f.T
-            sq = np.maximum(q[s0:s1, None] + q[None, :] - 2.0 * K, 0.0)
-            # the diagonal pair is identically zero; keep it exact so the
-            # supremum over pairs is never pulled below 0 by roundoff
-            rows = np.arange(s0, s1)
-            sq[rows - s0, rows] = 0.0
-            vals = (4.0 / n) * (t[s0:s1, None] - t[None, :]) - (coef / n) * sq
-            vals[rows - s0, rows] = 0.0
-            best = max(best, float(vals.max()))
-        return best
-
-    if reference_preds is None:
-        raise ValueError(f"{offset_kind} offset requires a reference predictor")
-    r = np.asarray(reference_preds, dtype=float)
-    psi_r = eval_loss(model, r, target)
-    if offset_kind == "mu_d":
-        inc = psi_f - psi_r[None, :]
-        pen = model.modulus.mu(model.distance(F, r[None, :], target) / 3.0).mean(axis=1)
-        vals = (4.0 / n) * (inc @ signs) - pen
-        return float(vals.max())
-    if offset_kind == "uniform_convex":
-        alpha = uniform_convexity_alpha(model)
-        diff = F - r[None, :]
-        pen = (alpha * np.abs(diff) ** model.p / 3.0**model.p).mean(axis=1)
-        vals = (4.0 * model.lip / n) * (diff @ signs) - pen
-        return float(vals.max())
-    raise ValueError(f"unknown offset kind {offset_kind!r}")
+        sups = _exp_concave_sups(model, psi_f, S)
+    else:
+        if reference_preds is None:
+            raise ValueError(f"{offset_kind} offset requires a reference predictor")
+        r = np.asarray(reference_preds, dtype=float)
+        psi_r = eval_loss(model, r, target)
+        if offset_kind == "mu_d":
+            inc = psi_f - psi_r[None, :]
+            pen = model.modulus.mu(model.distance(F, r[None, :], target) / 3.0).mean(axis=1)
+            scale = 4.0 / n
+        elif offset_kind == "uniform_convex":
+            alpha = uniform_convexity_alpha(model)
+            inc = F - r[None, :]
+            pen = (alpha * np.abs(inc) ** model.p / 3.0**model.p).mean(axis=1)
+            scale = 4.0 * model.lip / n
+        else:
+            raise ValueError(f"unknown offset kind {offset_kind!r}")
+        sups = np.array([float((scale * (inc @ s) - pen).max()) for s in S])
+    return float(sups[0]) if signs.ndim == 1 else sups
 
 
 def _draw_signs(seed: int, draw: int, n: int) -> np.ndarray:
@@ -197,12 +227,10 @@ def offset_complexity_mc(
         ref = prediction_vector(reference, sample)
     else:
         ref = np.asarray(reference, dtype=float)
-    sups = np.empty(draws)
-    for d in range(draws):
-        signs = _draw_signs(seed, d, sample.n)
-        sups[d] = offset_sup_one_draw(model, F, ref, sample, signs, offset_kind)
+    signs = np.array([_draw_signs(seed, d, sample.n) for d in range(draws)])
+    sups = offset_sup_one_draw(model, F, ref, sample, signs, offset_kind)
     if offset_kind == "exp_concave":
-        coefficient = model.eta / max(18.0 * model.m * model.eta, 36.0)
+        coefficient = _exp_concave_coefficient(model)
     elif offset_kind == "uniform_convex":
         coefficient = uniform_convexity_alpha(model) / 3.0**model.p
     else:
@@ -222,18 +250,28 @@ def _l2pn_dist(V: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff) / V.shape[1])
 
 
-def greedy_cover_indices(vectors: np.ndarray, eps: float) -> list[int]:
+def greedy_cover_indices(
+    vectors: np.ndarray, eps: float, return_radii: bool = False
+) -> list[int] | tuple[list[int], np.ndarray]:
     """Farthest-point traversal cover in L2(P_n), seeded at row 0.
 
     Returns center indices such that every row lies within eps of a center.
+    With return_radii, returns (centers, radii) where radii[k] is the
+    covering radius of the first k + 1 centers. The traversal order does not
+    depend on eps, so for any eps' >= eps the cover at eps' is the prefix of
+    1 + #(radii > eps') centers.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     centers = [0]
     dmin = _l2pn_dist(V, V[0])
-    while float(dmin.max()) > eps:
+    radii = [float(dmin.max())]
+    while radii[-1] > eps:
         j = int(np.argmax(dmin))
         centers.append(j)
         dmin = np.minimum(dmin, _l2pn_dist(V, V[j]))
+        radii.append(float(dmin.max()))
+    if return_radii:
+        return centers, np.array(radii)
     return centers
 
 
@@ -284,9 +322,17 @@ def constant_profile(value: float, star_hull_correction: bool = False) -> Entrop
     return EntropyProfile("constant", value=value, star_hull_correction=star_hull_correction)
 
 
-def entropy_eval(profile: EntropyProfile, eps: float, sample: Sample | None = None) -> float:
-    """Evaluate H2(eps) for a profile; nonincreasing in eps by construction."""
-    if eps <= 0:
+def entropy_eval(
+    profile: EntropyProfile, eps: float | np.ndarray, sample: Sample | None = None
+) -> float | np.ndarray:
+    """Evaluate H2(eps) for a profile; nonincreasing in eps by construction.
+
+    eps is a positive scalar (returns a float) or an array of radii (returns
+    an array of the same shape). A finite_empirical profile answers a whole
+    array from one farthest-point traversal down to min(eps).
+    """
+    e = np.asarray(eps, dtype=float)
+    if not np.all(e > 0):
         raise ValueError("eps must be positive")
     if profile.variant == "finite_empirical":
         if profile.vectors is not None:
@@ -295,15 +341,18 @@ def entropy_eval(profile: EntropyProfile, eps: float, sample: Sample | None = No
             raise ValueError("finite_empirical entropy requires a sample")
         else:
             V = profile.cls.prediction_matrix(sample)
-        h = math.log(len(greedy_cover_indices(V, eps)))
+        _, radii = greedy_cover_indices(V, e.min(initial=np.inf), return_radii=True)
+        # radii is nonincreasing and radii[-1] <= min(eps): the cover at eps
+        # is the first 1 + #(radii[:-1] > eps) centers
+        h = np.log(1 + np.searchsorted(-radii[:-1], -e, side="left"))
     elif profile.variant == "parametric":
-        h = max(profile.k * profile.d * math.log(profile.A * profile.B / eps), 0.0)
+        h = np.maximum(profile.k * profile.d * np.log(profile.A * profile.B / e), 0.0)
     elif profile.variant == "power_law":
-        h = (profile.A / eps) ** profile.q
+        h = (profile.A / e) ** profile.q
     elif profile.variant == "constant":
-        h = float(profile.value)
+        h = np.full(e.shape, float(profile.value))
     else:
         raise ValueError(f"unknown profile variant {profile.variant!r}")
-    if profile.star_hull_correction and eps < 1.0:
-        h += math.log(1.0 / eps)
-    return float(h)
+    if profile.star_hull_correction:
+        h = h + np.where(e < 1.0, np.log(1.0 / e), 0.0)
+    return float(h) if e.ndim == 0 else h

@@ -246,3 +246,40 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "starloc" in proc.stdout
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_offset_rejects_levels_below_one(workdir, levels):
+    with pytest.raises(SystemExit) as exc:
+        main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
+              "--loss", "square", "--levels", levels])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("index", ["5", "2", "-1"])
+def test_offset_reference_index_out_of_range(workdir, capsys, index):
+    rc = main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
+               "--loss", "square", "--kind", "mu_d", "--draws", "2", "--reference-index", index])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "reference-index" in err
+
+
+def test_offset_reference_index_in_range(workdir):
+    out = workdir / "o.json"
+    assert main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
+                 "--loss", "square", "--kind", "mu_d", "--draws", "2", "--reference-index", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["reference_index"] == 1
+
+
+def test_bound_divergent_value_is_an_error(workdir, capsys):
+    params = workdir / "p.json"
+    params.write_text(json.dumps({"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "gamma": 1.0, "alpha": 0,
+                                  "entropy": {"variant": "power_law", "A": 1.0, "q": 2.0}}))
+    out = workdir / "b.json"
+    rc = main(["bound", "--kind", "chaining", "--params", str(params), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "diverges" in err

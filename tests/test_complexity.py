@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from starloc.complexity import (
+    _PAIR_CHUNK,
     constant_profile,
     discretize_fprime,
     entropy_eval,
@@ -216,3 +217,93 @@ def test_loss_composed_entropy_via_class(rng):
     loss_vectors = eval_loss(sq, cls.prediction_matrix(sample), sample.y)
     prof = finite_empirical_profile(vectors=loss_vectors)
     assert entropy_eval(prof, 1e-9) == pytest.approx(math.log(5))
+
+
+def test_lambda_levels_below_one_rejected():
+    cls = FiniteClass([Constant(0.0), Constant(1.0)])
+    sample = _const_sample([0.0, 0.5])
+    for levels in (0, -3):
+        with pytest.raises(ValueError):
+            fprime_matrix(cls, sample, levels)
+        with pytest.raises(ValueError):
+            offset_complexity_mc(square_loss(1.0), cls, None, sample, "exp_concave", draws=2, lambda_levels=levels)
+        with pytest.raises(ValueError):
+            discretize_fprime(cls, levels)
+
+
+def test_batched_offset_equals_row_by_row(rng):
+    n = 16
+    sample = _const_sample(rng.uniform(-1, 1, n))
+    cls = FiniteClass([Constant(float(v)) for v in rng.uniform(-1, 1, 9)])
+    F = fprime_matrix(cls, sample, 20)
+    assert F.shape[0] == 693 > _PAIR_CHUNK
+    S = rng.choice([-1.0, 1.0], (5, n))
+    ref = F[0]
+    for kind, model in (("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)),
+                        ("uniform_convex", p_loss(3.0, 1.0))):
+        batched = offset_sup_one_draw(model, F, ref, sample, S, kind)
+        single = [offset_sup_one_draw(model, F, ref, sample, s, kind) for s in S]
+        assert isinstance(single[0], float)
+        assert batched.shape == (5,)
+        np.testing.assert_array_equal(batched, single)
+
+
+def test_offset_signs_shape_checked():
+    sample = _const_sample([0.1, 0.2])
+    F = np.array([[0.0, 0.0], [0.5, 0.5]])
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 1, 2)), np.empty((0, 2)), np.full(2, 0.5)):
+        with pytest.raises(ValueError):
+            offset_sup_one_draw(square_loss(1.0), F, None, sample, bad, "exp_concave")
+
+
+def _loop_entropy(prof, eps):
+    """Per-point H2(eps) in plain float arithmetic, the reference for the array path."""
+    if prof.variant == "finite_empirical":
+        h = math.log(len(greedy_cover_indices(prof.vectors, eps)))
+    elif prof.variant == "parametric":
+        h = max(prof.k * prof.d * math.log(prof.A * prof.B / eps), 0.0)
+    elif prof.variant == "power_law":
+        h = (prof.A / eps) ** prof.q
+    else:
+        h = prof.value
+    if prof.star_hull_correction and eps < 1.0:
+        h += math.log(1.0 / eps)
+    return h
+
+
+def test_entropy_eval_array_matches_scalar(rng):
+    V = rng.uniform(0, 1, (15, 6))
+    # straddles 1 and reaches past A * B = 3, where the parametric profile clamps at 0
+    eps = np.exp(np.linspace(math.log(1e-3), math.log(10.0), 57))
+    eps = np.concatenate([eps, [1.0, 3.0, 5.0]])
+    for corr in (False, True):
+        profiles = [
+            finite_empirical_profile(vectors=V, star_hull_correction=corr),
+            parametric_profile(2, 2, 1.0, 3.0, star_hull_correction=corr),
+            power_law_profile(0.5, 1.5, star_hull_correction=corr),
+            constant_profile(3.0, star_hull_correction=corr),
+        ]
+        for prof in profiles:
+            got = entropy_eval(prof, eps)
+            assert got.shape == eps.shape
+            scalar = [entropy_eval(prof, float(e)) for e in eps]
+            assert all(isinstance(h, float) for h in scalar)
+            np.testing.assert_allclose(got, scalar, rtol=1e-13, atol=0.0)
+            loop = [_loop_entropy(prof, float(e)) for e in eps]
+            np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
+            grid = entropy_eval(prof, eps.reshape(4, 15))
+            np.testing.assert_array_equal(grid, got.reshape(4, 15))
+    assert entropy_eval(parametric_profile(2, 2, 1.0, 3.0), np.array([5.0]))[0] == 0.0
+    with pytest.raises(ValueError):
+        entropy_eval(constant_profile(1.0), np.array([0.5, 0.0]))
+
+
+def test_finite_empirical_counts_match_greedy_cover(rng):
+    for _ in range(10):
+        V = rng.uniform(-1, 1, (int(rng.integers(2, 25)), 5))
+        _, radii = greedy_cover_indices(V, 0.0, return_radii=True)
+        # random radii plus every covering radius itself, where ties decide the count
+        eps = np.concatenate([rng.uniform(0.01, 1.5, 30), radii[radii > 0]])
+        got = entropy_eval(finite_empirical_profile(vectors=V), eps)
+        want = np.log([len(greedy_cover_indices(V, float(e))) for e in eps])
+        np.testing.assert_array_equal(got, want)
