@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import EntropyProfile, entropy_eval
+from .complexity import EntropyProfile, covering_radii, entropy_eval
 from .predictors import Sample
 
 __all__ = [
@@ -94,9 +94,11 @@ def entropy_integral(
 ) -> float:
     """int_a^b sqrt(H2(s)) ds by adaptive trapezoid on a log-spaced grid.
 
-    Pure power-law profiles use the exact closed form. A zero lower limit is
-    handled by a power substitution that flattens the singularity (power-law
-    component) or by truncation at b * 1e-15 (at most log-singular H).
+    Pure power-law profiles use the exact closed form, and finite_empirical
+    profiles are integrated piecewise between their covering radii. A zero
+    lower limit is handled by a power substitution that flattens the
+    singularity (power-law component) or by truncation at b * 1e-15 (at
+    most log-singular H).
     """
     if a < 0 or b < 0 or a > b:
         raise ValueError("integral limits must satisfy 0 <= a <= b")
@@ -137,9 +139,25 @@ def entropy_integral(
         return _adaptive(f, lambda p: np.linspace(0.0, 1.0, p))
 
     lo = max(a, b * _TRUNC)
+    cuts = np.array([lo, b])
+    stepped = profile.variant == "finite_empirical"
+    if stepped:
+        # The cover count is a step function that jumps at the covering
+        # radii, and the star-hull term has a kink at s = 1. Between these
+        # cuts the integrand is smooth.
+        radii = covering_radii(profile, lo, sample)
+        cuts = np.unique(np.concatenate([cuts, radii, [1.0]]))
+        cuts = cuts[(cuts >= lo) & (cuts <= b)]
 
     def grid(p: int) -> np.ndarray:
-        return np.exp(np.linspace(math.log(lo), math.log(b), p))
+        pieces = []
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            piece = np.exp(np.linspace(math.log(left), math.log(right), p))
+            if stepped:
+                # Evaluate on the open piece, where the cover count is constant.
+                piece[0], piece[-1] = np.nextafter(left, right), np.nextafter(right, left)
+            pieces.append(piece)
+        return np.concatenate(pieces)
 
     return _adaptive(sqrt_h, grid)
 

@@ -110,25 +110,46 @@ def load_data_csv(path: str, loss_kind: str, k: int | None = None) -> Sample:
     return Sample(X, y)
 
 
-def _predictor_from_spec(obj: dict):
+def _spec_value(obj: dict, key: str, convert, where: str):
+    """obj[key] through convert; missing, null or unconvertible values are CliErrors."""
+    value = obj.get(key)
+    if value is None:
+        raise CliError(f"class spec: {where} needs a non-null {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"class spec: {where} has a bad {key!r}: {exc}") from exc
+
+
+def _scalar_or_vector(value):
+    return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _predictor_from_spec(obj):
+    if not isinstance(obj, dict):
+        raise CliError(f"class spec: a member must be a JSON object, not {type(obj).__name__}")
     t = obj.get("type")
+    where = f"{t} member"
     if t == "constant":
-        v = obj["value"]
-        return Constant(np.asarray(v, dtype=float) if isinstance(v, list) else float(v))
+        return Constant(_spec_value(obj, "value", _scalar_or_vector, where))
     if t == "tabular":
-        return Tabular(np.asarray(obj["values"], dtype=float))
+        return Tabular(_spec_value(obj, "values", _floats, where))
     if t == "linear":
         return Linear(
-            np.asarray(obj["weights"], dtype=float),
-            float(obj.get("bound", np.inf if obj.get("bound") is None else obj["bound"])),
+            _spec_value(obj, "weights", _floats, where),
+            _spec_value(obj, "bound", float, where) if "bound" in obj else np.inf,
             obj.get("link", "softmax"),
             obj.get("delta"),
         )
     if t == "star_mix":
         return StarMix(
-            float(obj["lam"]),
-            _predictor_from_spec(obj["left"]),
-            _predictor_from_spec(obj["right"]),
+            _spec_value(obj, "lam", float, where),
+            _predictor_from_spec(obj.get("left")),
+            _predictor_from_spec(obj.get("right")),
         )
     raise CliError(f"unknown predictor type {t!r} in class spec")
 
@@ -139,15 +160,21 @@ def load_class_spec(path: str):
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse class spec {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"class spec {path} must be a JSON object, not {type(obj).__name__}")
     variant = obj.get("variant")
     if variant == "finite":
-        members = [_predictor_from_spec(m) for m in obj.get("members", [])]
+        members = obj.get("members") or []
+        if not isinstance(members, list):
+            raise CliError("finite class spec needs a members list")
+        members = [_predictor_from_spec(m) for m in members]
         if not members:
             raise CliError("finite class spec needs a nonempty members list")
         return FiniteClass(members, obj.get("delta"))
     if variant == "linear_ball":
         return LinearBall(
-            int(obj["d"]), int(obj["k"]), float(obj["bound"]),
+            _spec_value(obj, "d", int, variant), _spec_value(obj, "k", int, variant),
+            _spec_value(obj, "bound", float, variant),
             obj.get("link", "softmax"), obj.get("delta"),
         )
     raise CliError(f"unknown class spec variant {variant!r}")

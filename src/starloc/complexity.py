@@ -25,6 +25,7 @@ __all__ = [
     "greedy_cover_indices",
     "entropy_eval",
     "finite_empirical_profile",
+    "covering_radii",
     "parametric_profile",
     "power_law_profile",
     "constant_profile",
@@ -322,6 +323,23 @@ def constant_profile(value: float, star_hull_correction: bool = False) -> Entrop
     return EntropyProfile("constant", value=value, star_hull_correction=star_hull_correction)
 
 
+def covering_radii(
+    profile: EntropyProfile, eps: float, sample: Sample | None = None
+) -> np.ndarray:
+    """Covering radii of a finite_empirical profile's traversal, down to eps.
+
+    The profile's cover count at radius s is 1 + #(radii[:-1] > s), so it
+    changes only at these radii.
+    """
+    if profile.vectors is not None:
+        V = profile.vectors
+    elif sample is None:
+        raise ValueError("finite_empirical entropy requires a sample")
+    else:
+        V = profile.cls.prediction_matrix(sample)
+    return greedy_cover_indices(V, eps, return_radii=True)[1]
+
+
 def entropy_eval(
     profile: EntropyProfile, eps: float | np.ndarray, sample: Sample | None = None
 ) -> float | np.ndarray:
@@ -335,13 +353,7 @@ def entropy_eval(
     if not np.all(e > 0):
         raise ValueError("eps must be positive")
     if profile.variant == "finite_empirical":
-        if profile.vectors is not None:
-            V = profile.vectors
-        elif sample is None:
-            raise ValueError("finite_empirical entropy requires a sample")
-        else:
-            V = profile.cls.prediction_matrix(sample)
-        _, radii = greedy_cover_indices(V, e.min(initial=np.inf), return_radii=True)
+        radii = covering_radii(profile, e.min(initial=np.inf), sample)
         # radii is nonincreasing and radii[-1] <= min(eps): the cover at eps
         # is the first 1 + #(radii[:-1] > eps) centers
         h = np.log(1 + np.searchsorted(-radii[:-1], -e, side="left"))

@@ -28,6 +28,7 @@ __all__ = [
     "gen_logistic_data",
     "gen_twopoint_data",
     "gen_ploss_data",
+    "AtomOracle",
     "population_excess_risk",
     "fit_rate",
     "run_rate_experiment",
@@ -170,29 +171,57 @@ def ploss_members(config: ExperimentConfig) -> FiniteClass:
     return FiniteClass([Constant(float(v)) for v in vals])
 
 
+@dataclass(frozen=True, eq=False)
+class AtomOracle:
+    """An oracle sample with all-zero features, kept as weighted target atoms.
+
+    A predictor that depends on x only makes one prediction on it, so its
+    risk is weights @ loss(prediction, atoms) / weights.sum() plus a shift
+    that is the same for every predictor and cancels in an excess risk.
+    sample holds one zero-feature row per atom.
+    """
+
+    sample: Sample
+    weights: np.ndarray
+
+
+def _atom_oracle(model: LossModel, atoms, weights) -> AtomOracle:
+    atoms = np.asarray(atoms, dtype=float)
+    model.check_target(atoms)
+    return AtomOracle(Sample(np.zeros((atoms.size, 1)), atoms), np.asarray(weights, dtype=float))
+
+
 def population_excess_risk(
     model: LossModel,
     predictor,
-    oracle_sample: Sample,
+    oracle: Sample | AtomOracle,
     cls: FiniteClass | None = None,
     f_star: Predictor | None = None,
 ) -> float:
-    """Oracle-sample risk of the predictor minus the comparator's.
+    """Oracle risk of the predictor minus the comparator's.
 
     The comparator is f_star when the true minimizer is known analytically,
-    otherwise the class member with the smallest oracle risk.
+    otherwise the class member with the smallest oracle risk. The oracle is
+    a dense Sample (every point weighs the same) or an AtomOracle.
     """
+    if isinstance(oracle, AtomOracle):
+        sample, weights = oracle.sample, oracle.weights
+    else:
+        sample, weights = oracle, None
+    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
+
+    def risks(preds):
+        return np.average(eval_loss(model, preds, target), axis=-1, weights=weights)
+
     if isinstance(predictor, Predictor):
-        preds = prediction_vector(predictor, oracle_sample)
+        preds = prediction_vector(predictor, sample)
     else:
         preds = np.asarray(predictor, dtype=float)
-    target = None if model.is_likelihood else np.asarray(oracle_sample.y, dtype=float)
-    risk = float(np.mean(eval_loss(model, preds, target)))
+    risk = float(risks(preds))
     if f_star is not None:
-        ref = float(np.mean(eval_loss(model, prediction_vector(f_star, oracle_sample), target)))
+        ref = float(risks(prediction_vector(f_star, sample)))
     elif cls is not None:
-        mat = cls.prediction_matrix(oracle_sample)
-        ref = float(eval_loss(model, mat, target).mean(axis=1).min())
+        ref = float(risks(cls.prediction_matrix(sample)).min())
     else:
         raise ValueError("need a class or an explicit comparator")
     return risk - ref
@@ -226,16 +255,24 @@ def fit_rate(rows) -> tuple[float, float, float]:
 # per-replication runners (module level so process pools can pickle the work)
 
 
-def _twopoint_oracle(config: ExperimentConfig, n: int, b: float) -> Sample:
+def _twopoint_oracle(config: ExperimentConfig, n: int, b: float, model: LossModel) -> AtomOracle:
+    """Square-loss oracle for constant predictors: only the target mean matters.
+
+    mean((v - y)^2) = (v - ybar)^2 + var(y), and var(y) is the same for
+    every constant, so one atom at ybar scores every excess exactly.
+    """
     rng = _rng(config.seed, n, _ORACLE_TAG)
     y = b + config.sigma * np.clip(rng.standard_normal(config.oracle_size), -8.0, 8.0)
-    return Sample(np.zeros((config.oracle_size, 1)), y)
+    model.check_target(y)
+    return _atom_oracle(model, [float(np.mean(y))], [1.0])
 
 
-def _ploss_oracle(config: ExperimentConfig) -> Sample:
+def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
+    """The p-loss oracle sample takes two values, so it is their counts."""
     rng = _rng(config.seed, _ORACLE_TAG)
-    eps = np.where(rng.random(config.oracle_size) < 0.2, 2.0 * config.noise, -config.noise)
-    return Sample(np.zeros((config.oracle_size, 1)), config.center + eps)
+    high = int(np.count_nonzero(rng.random(config.oracle_size) < 0.2))
+    atoms = config.center + np.array([2.0 * config.noise, -config.noise])
+    return _atom_oracle(model, atoms, [high, config.oracle_size - high])
 
 
 def _logistic_oracle(config: ExperimentConfig):
@@ -255,7 +292,7 @@ def _logistic_oracle(config: ExperimentConfig):
 def _block_nonconvex(config: ExperimentConfig, n: int, reps: range) -> list:
     b = config.sigma / (4.0 * math.sqrt(n))
     model = square_loss(config.c + 8.0 * config.sigma)
-    oracle = _twopoint_oracle(config, n, b)
+    oracle = _twopoint_oracle(config, n, b, model)
     best_member = Constant(config.c)
     hull_opt = Constant(b)
     out = []
@@ -273,20 +310,13 @@ def _block_nonconvex(config: ExperimentConfig, n: int, reps: range) -> list:
 def _block_ploss(config: ExperimentConfig, n: int, reps: range) -> list:
     model = p_loss(config.p, config.B)
     cls = ploss_members(config)
-    oracle = _ploss_oracle(config)
-    # The comparator is the oracle-risk-minimizing member, fixed per config.
-    mat = cls.prediction_matrix(oracle)
-    member_risks = eval_loss(model, mat, np.asarray(oracle.y, dtype=float)).mean(axis=1)
-    ref = float(member_risks.min())
-    target = np.asarray(oracle.y, dtype=float)
+    oracle = _ploss_oracle(config, model)
     out = []
     for rep in reps:
         sample = gen_ploss_data(n, config.center, config.noise, (config.seed, n, rep, _DATA_TAG))
         fit = star_fit(model, cls, sample)
-        # Mixes of constants are constant, so one scalar risk eval suffices.
-        star_val = float(fit.star_preds[0])
-        risk = float(np.mean(np.abs(star_val - target) ** config.p))
-        out.append(("star", n, rep, risk - ref))
+        # The comparator is the oracle-risk-minimizing member.
+        out.append(("star", n, rep, population_excess_risk(model, fit.combined, oracle, cls=cls)))
     return out
 
 

@@ -128,8 +128,13 @@ class LossModel:
         if self.is_likelihood or target is None:
             return
         target = np.asarray(target, dtype=float)
+        if target.size == 0:
+            return
         lo, hi = self.target_lo, self.target_hi
-        if np.any(target < lo - _DOMAIN_SLACK) or np.any(target > hi + _DOMAIN_SLACK):
+        # min and max propagate NaN, and NaN fails both comparisons.
+        if not (lo - _DOMAIN_SLACK <= target.min() and target.max() <= hi + _DOMAIN_SLACK):
+            if not np.all(np.isfinite(target)):
+                raise ValueError(f"{self.kind} loss: non-finite target")
             raise ValueError(f"{self.kind} loss: target outside [{lo}, {hi}]")
 
     def distance(self, x, y, target=None):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import starloc.bounds as bounds_module
 from starloc.bounds import (
+    _QUAD_MAX,
+    _QUAD_START,
     BoundInputs,
     bigglm_rate,
     chaining_bound,
@@ -11,7 +14,13 @@ from starloc.bounds import (
     glm_bound,
     packing_bound,
 )
-from starloc.complexity import constant_profile, parametric_profile, power_law_profile
+from starloc.complexity import (
+    constant_profile,
+    entropy_eval,
+    finite_empirical_profile,
+    parametric_profile,
+    power_law_profile,
+)
 
 H10 = constant_profile(10.0)
 
@@ -52,6 +61,32 @@ def test_entropy_integral_closed_form_matches_quadrature():
     prof_quad = power_law_profile(1.0, 1.0, star_hull_correction=True)
     quad = entropy_integral(prof_quad, 1.0, 2.0)  # eps >= 1: correction inactive
     assert quad == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("star_hull", [False, True])
+def test_entropy_integral_finite_empirical_converges(monkeypatch, star_hull):
+    # 30 vectors at scales spread over [0.03, 1.2], so the cover count steps
+    # many times inside [0.05, 1]
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((30, 20)) * np.geomspace(0.03, 1.2, 30)[:, None]
+    prof = finite_empirical_profile(vectors=V, star_hull_correction=star_hull)
+    grids = []
+
+    def recording(profile, eps, sample=None):
+        grids.append(np.size(eps))
+        return entropy_eval(profile, eps, sample)
+
+    monkeypatch.setattr(bounds_module, "entropy_eval", recording)
+    got = entropy_integral(prof, 0.05, 1.0)
+    # one doubling suffices: every piece between covering radii is smooth
+    assert len(grids) == 2
+    pieces = grids[0] // _QUAD_START
+    assert grids[1] == pieces * (2 * _QUAD_START - 1) < _QUAD_MAX
+    # brute force: midpoint sum on 2^20 points; its error is below 1e-7 here
+    N = 1 << 20
+    h = 0.95 / N
+    brute = float(np.sqrt(entropy_eval(prof, 0.05 + h * (np.arange(N) + 0.5))).sum() * h)
+    assert got == pytest.approx(brute, rel=1e-6)
 
 
 def test_entropy_integral_zero_lower_limit():

@@ -283,3 +283,42 @@ def test_bound_divergent_value_is_an_error(workdir, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "diverges" in err
+
+
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "starloc", *argv],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+@pytest.mark.parametrize("command", ["fit", "offset"])
+@pytest.mark.parametrize("spec", [
+    [{"type": "constant", "value": 0.6}],
+    {"variant": "finite", "members": [{"type": "constant"}]},
+    {"variant": "finite", "members": [{"type": "constant", "value": None}]},
+    {"variant": "finite", "members": [{"type": "constant", "value": {"v": 1}}]},
+    {"variant": "finite", "members": [0.6]},
+    {"variant": "finite", "members": [{"type": "linear", "weights": [[0.5]], "bound": None}]},
+    {"variant": "finite", "members": [{"type": "star_mix", "lam": 0.5,
+                                       "left": {"type": "constant", "value": 0.1}}]},
+    {"variant": "linear_ball", "d": 1, "k": 2, "bound": None},
+], ids=["top-level-list", "missing-value", "null-value", "object-value", "bare-number",
+        "null-bound", "missing-right", "ball-null-bound"])
+def test_malformed_class_spec_is_an_error(workdir, command, spec):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(spec))
+    proc = _run_cli(command, str(workdir / "data.csv"), "--class-spec", str(path), "--loss", "square")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_fit_non_finite_target_is_an_error(workdir):
+    data = workdir / "nan.csv"
+    data.write_text("x1,y\n0.0,0.5\n0.0,nan\n0.0,0.1\n")
+    proc = _run_cli("fit", str(data), "--class-spec", str(workdir / "cls.json"), "--loss", "square")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "non-finite target" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from starloc.estimators import erm_finite, star_fit
 from starloc.experiments import (
+    _DATA_TAG,
+    _ORACLE_TAG,
     ExperimentConfig,
     bound_vs_empirical,
     fit_rate,
@@ -17,7 +20,7 @@ from starloc.experiments import (
     run_rate_experiment,
     summary_dict,
 )
-from starloc.losses import link_softmax, square_loss
+from starloc.losses import link_softmax, p_loss, square_loss
 from starloc.predictors import Constant, FiniteClass, Sample
 
 # 0.999 chi-square quantiles, k - 1 degrees of freedom
@@ -194,3 +197,53 @@ def test_oracle_consistency_doubling():
         if abs(a.mean - b.mean) < 3 * math.hypot(a.se, b.se) + 1e-12:
             ok += 1
     assert ok >= total - 1
+
+
+# The blocks score constants from the oracle's sufficient statistics; these
+# tests materialize the dense oracle Sample from the same draws and score
+# every point, as the experiments did before the compression.
+EXACT = dict(n_grid=(32, 64, 128), replications=6, seed=3, oracle_size=100_000)
+
+
+def _by_key(result):
+    return {(est, n, rep): excess for est, n, rep, excess in result.records}
+
+
+def test_nonconvex_compressed_oracle_is_exact():
+    cfg = ExperimentConfig(name="nonconvex_gap", **EXACT)
+    got = _by_key(run_rate_experiment(cfg))
+    model = square_loss(cfg.c + 8.0 * cfg.sigma)
+    erm_picked_best = 0
+    for n in cfg.n_grid:
+        b = cfg.sigma / (4.0 * math.sqrt(n))
+        rng = np.random.default_rng((cfg.seed, n, _ORACLE_TAG))
+        y = b + cfg.sigma * np.clip(rng.standard_normal(cfg.oracle_size), -8.0, 8.0)
+        dense = Sample(np.zeros((cfg.oracle_size, 1)), y)
+        for rep in range(cfg.replications):
+            sample, cls = gen_twopoint_data(n, cfg.c, b, cfg.sigma, (cfg.seed, n, rep, _DATA_TAG))
+            idx, _ = erm_finite(model, cls, sample)
+            fit = star_fit(model, cls, sample)
+            e_erm = population_excess_risk(model, cls.members[idx], dense, f_star=Constant(cfg.c))
+            e_star = population_excess_risk(model, fit.combined, dense, f_star=Constant(b))
+            assert got[("erm", n, rep)] == pytest.approx(e_erm, rel=0, abs=1e-12)
+            assert got[("star", n, rep)] == pytest.approx(e_star, rel=0, abs=1e-12)
+            if idx == 0:  # the ERM picked the best constant, +c
+                erm_picked_best += 1
+                assert got[("erm", n, rep)] == 0.0
+    assert erm_picked_best > 0
+
+
+def test_ploss_compressed_oracle_is_exact():
+    cfg = ExperimentConfig(name="ploss_rate", **EXACT)
+    got = _by_key(run_rate_experiment(cfg))
+    model = p_loss(cfg.p, cfg.B)
+    cls = ploss_members(cfg)
+    rng = np.random.default_rng((cfg.seed, _ORACLE_TAG))
+    eps = np.where(rng.random(cfg.oracle_size) < 0.2, 2.0 * cfg.noise, -cfg.noise)
+    dense = Sample(np.zeros((cfg.oracle_size, 1)), cfg.center + eps)
+    for n in cfg.n_grid:
+        for rep in range(cfg.replications):
+            sample = gen_ploss_data(n, cfg.center, cfg.noise, (cfg.seed, n, rep, _DATA_TAG))
+            fit = star_fit(model, cls, sample)
+            expected = population_excess_risk(model, fit.combined, dense, cls=cls)
+            assert got[("star", n, rep)] == pytest.approx(expected, rel=0, abs=1e-12)

@@ -46,6 +46,18 @@ def test_eval_loss_rejects_out_of_domain():
         eval_loss(sq, 0.5, 2.0)  # target outside [-B, B]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_target_rejects_non_finite(bad):
+    for model in (square_loss(1.0), p_loss(3.0, 1.0)):
+        target = np.array([0.1, bad, -0.2])
+        with pytest.raises(ValueError, match="target"):
+            model.check_target(target)
+        with pytest.raises(ValueError, match="target"):
+            eval_loss(model, np.zeros(3), target)
+    # in-range targets, including the domain ends, still pass
+    square_loss(1.0).check_target(np.array([-1.0, 0.0, 1.0]))
+
+
 def test_grad_loss_examples():
     sq = square_loss(1.0)
     assert grad_loss(sq, 1.0, 0.0) == 2.0
