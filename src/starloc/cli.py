@@ -180,15 +180,27 @@ def load_class_spec(path: str):
     raise CliError(f"unknown class spec variant {variant!r}")
 
 
-def _entropy_from_spec(obj: dict) -> EntropyProfile:
+def _real(obj: dict, key: str, where: str):
+    """obj[key] if it is a finite JSON number; a missing or other value is a CliError."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise CliError(f"{where}: {key!r} must be a finite number, not {value!r}")
+    return value
+
+
+def _entropy_from_spec(obj) -> EntropyProfile:
+    if not isinstance(obj, dict):
+        raise CliError(f"entropy spec must be a JSON object, not {type(obj).__name__}")
     variant = obj.get("variant")
     corr = bool(obj.get("star_hull_correction", False))
+    where = f"{variant} entropy spec"
     if variant == "constant":
-        return constant_profile(float(obj["value"]), corr)
+        return constant_profile(float(_real(obj, "value", where)), corr)
     if variant == "parametric":
-        return parametric_profile(int(obj["k"]), int(obj["d"]), float(obj["A"]), float(obj["B"]), corr)
+        k, d, A, B = (_real(obj, key, where) for key in ("k", "d", "A", "B"))
+        return parametric_profile(int(k), int(d), float(A), float(B), corr)
     if variant == "power_law":
-        return power_law_profile(float(obj["A"]), float(obj["q"]), corr)
+        return power_law_profile(float(_real(obj, "A", where)), float(_real(obj, "q", where)), corr)
     if variant == "finite_empirical":
         if "vectors" not in obj:
             raise CliError("finite_empirical entropy spec requires inline 'vectors'")
@@ -297,35 +309,39 @@ def cmd_bound(args) -> int:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse params {args.params}: {exc}") from exc
+    if not isinstance(params, dict):
+        raise CliError(f"params {args.params} must be a JSON object, not {type(params).__name__}")
+    where = f"{args.kind} params"
 
     def need(*names):
         missing = [nm for nm in names if nm not in params]
         if missing:
             raise CliError(f"missing parameter(s) for {args.kind}: {', '.join(missing)}")
+        return [params[nm] if nm in ("entropy", "regime") else _real(params, nm, where) for nm in names]
+
+    def optional(name, default):
+        return default if params.get(name) is None else _real(params, name, where)
 
     if args.kind == "packing":
-        need("m", "eta", "n", "rho", "eps", "entropy")
+        m, eta, n, rho, eps, entropy = need("m", "eta", "n", "rho", "eps", "entropy")
         inputs = BoundInputs(
-            n=params["n"], rho=params["rho"], m=params["m"], eta=params["eta"],
-            eps=params["eps"], C=params.get("C", 1.0),
-            entropy=_entropy_from_spec(params["entropy"]),
+            n=n, rho=rho, m=m, eta=eta, eps=eps, C=optional("C", 1.0),
+            entropy=_entropy_from_spec(entropy),
         )
         value = packing_bound(inputs)
     elif args.kind == "chaining":
-        need("m", "eta", "n", "rho", "gamma", "entropy")
+        m, eta, n, rho, gamma, entropy = need("m", "eta", "n", "rho", "gamma", "entropy")
         inputs = BoundInputs(
-            n=params["n"], rho=params["rho"], m=params["m"], eta=params["eta"],
-            alpha=params.get("alpha"), gamma=params["gamma"], C=params.get("C", 1.0),
-            entropy=_entropy_from_spec(params["entropy"]),
+            n=n, rho=rho, m=m, eta=eta, alpha=optional("alpha", None), gamma=gamma,
+            C=optional("C", 1.0), entropy=_entropy_from_spec(entropy),
         )
         value = chaining_bound(inputs)
     elif args.kind == "glm":
-        need("n", "rho", "k", "d", "A", "B")
-        inputs = BoundInputs(n=params["n"], rho=params["rho"], C=params.get("C", 1.0))
-        value = glm_bound(inputs, params["k"], params["d"], params["A"], params["B"])
+        n, rho, k, d, A, B = need("n", "rho", "k", "d", "A", "B")
+        inputs = BoundInputs(n=n, rho=rho, C=optional("C", 1.0))
+        value = glm_bound(inputs, k, d, A, B)
     elif args.kind == "bigglm":
-        need("q", "regime", "A", "n")
-        value = bigglm_rate(params["q"], params["regime"], params["A"], params["n"])
+        value = bigglm_rate(*need("q", "regime", "A", "n"))
     else:  # unreachable through argparse choices
         raise CliError(f"unknown bound kind {args.kind!r}")
     if not math.isfinite(value):
@@ -450,7 +466,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ means are fitted by least squares on the log-log scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bounds import BoundInputs, packing_bound
 from .complexity import finite_empirical_profile
-from .estimators import erm_finite, regularized_star_glm, star_fit
+from .estimators import regularized_star_glm, star_fit
 from .losses import LossModel, eval_loss, glm_loss, link_softmax, p_loss, square_loss
 from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, prediction_vector
 
@@ -276,6 +277,12 @@ def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
 
 
 def _logistic_oracle(config: ExperimentConfig):
+    """Oracle features sorted by label (stable), label block bounds, and the true risk.
+
+    Returns (X, bounds, ref_loss): rows bounds[c]:bounds[c + 1] of X are the
+    oracle points labelled c, in draw order, and ref_loss is the mean
+    negative log-likelihood of the true parameter over the draws.
+    """
     W = config.w_true()
     rng = _rng(config.seed, _ORACLE_TAG)
     X = rng.standard_normal((config.oracle_size, config.d))
@@ -286,33 +293,37 @@ def _logistic_oracle(config: ExperimentConfig):
     y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).clip(0, config.k - 1)
     lik_true = probs[np.arange(config.oracle_size), y]
     ref_loss = float(np.mean(-np.log(lik_true)))
-    return X, y.astype(int), ref_loss
+    del probs, u, lik_true  # release the (N, k) temporaries before the sorted copy
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=config.k))))
+    # A stable sort of 8- or 16-bit labels is a radix sort.
+    order = np.argsort(y.astype(np.min_scalar_type(config.k - 1)), kind="stable")
+    return X.take(order, axis=0), bounds, ref_loss
 
 
-def _block_nonconvex(config: ExperimentConfig, n: int, reps: range) -> list:
-    b = config.sigma / (4.0 * math.sqrt(n))
+def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
     model = square_loss(config.c + 8.0 * config.sigma)
-    oracle = _twopoint_oracle(config, n, b, model)
     best_member = Constant(config.c)
-    hull_opt = Constant(b)
     out = []
-    for rep in reps:
-        sample, cls = gen_twopoint_data(n, config.c, b, config.sigma, (config.seed, n, rep, _DATA_TAG))
-        idx, _ = erm_finite(model, cls, sample)
-        fit = star_fit(model, cls, sample)
-        e_erm = population_excess_risk(model, cls.members[idx], oracle, f_star=best_member)
-        e_star = population_excess_risk(model, fit.combined, oracle, f_star=hull_opt)
-        out.append(("erm", n, rep, e_erm))
-        out.append(("star", n, rep, e_star))
+    for n, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        b = config.sigma / (4.0 * math.sqrt(n))
+        oracle = _twopoint_oracle(config, n, b, model)
+        hull_opt = Constant(b)
+        for _, rep in group:
+            sample, cls = gen_twopoint_data(n, config.c, b, config.sigma, (config.seed, n, rep, _DATA_TAG))
+            fit = star_fit(model, cls, sample)
+            e_erm = population_excess_risk(model, fit.erm, oracle, f_star=best_member)
+            e_star = population_excess_risk(model, fit.combined, oracle, f_star=hull_opt)
+            out.append(("erm", n, rep, e_erm))
+            out.append(("star", n, rep, e_star))
     return out
 
 
-def _block_ploss(config: ExperimentConfig, n: int, reps: range) -> list:
+def _block_ploss(config: ExperimentConfig, cells: list) -> list:
     model = p_loss(config.p, config.B)
     cls = ploss_members(config)
     oracle = _ploss_oracle(config, model)
     out = []
-    for rep in reps:
+    for n, rep in cells:
         sample = gen_ploss_data(n, config.center, config.noise, (config.seed, n, rep, _DATA_TAG))
         fit = star_fit(model, cls, sample)
         # The comparator is the oracle-risk-minimizing member.
@@ -320,33 +331,39 @@ def _block_ploss(config: ExperimentConfig, n: int, reps: range) -> list:
     return out
 
 
-def _regularized_likelihoods(W, X, y_idx, delta: float, k: int) -> np.ndarray:
-    """Observed-label likelihoods of (1-d) softmax(Wx) + d/k without full probs.
+def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
+    """Observed-label likelihoods of (1-d) softmax(Wx) + d/k on a label-sorted oracle.
 
-    Score gaps are bounded by 2 B max||x||, so the direct exp is safe.
+    Rows bounds[c]:bounds[c + 1] of X carry label c, so their softmax
+    likelihood is 1 / (1 + sum_{j != c} exp(x (W_j - W_c))). Score gaps are
+    bounded by 2 B max||x||, so the direct exp is safe.
     """
-    Z = X @ np.asarray(W, dtype=float).T
-    Zy = Z[np.arange(Z.shape[0]), y_idx]
-    lik = 1.0 / np.exp(Z - Zy[:, None]).sum(axis=1)
-    return (1.0 - delta) * lik + delta / k
+    W = np.asarray(W, dtype=float)
+    lik = np.empty(X.shape[0])
+    for c in range(k):
+        block = slice(bounds[c], bounds[c + 1])
+        gaps = np.exp(X[block] @ (np.delete(W, c, axis=0) - W[c]).T)
+        lik[block] = (1.0 - delta) / (1.0 + gaps.sum(axis=1))
+    lik += delta / k
+    return lik
 
 
-def _block_logistic(config: ExperimentConfig, n: int, reps: range) -> list:
-    delta = config.delta_at(n)
-    model = glm_loss(config.k, delta)
+def _block_logistic(config: ExperimentConfig, cells: list) -> list:
     ball = LinearBall(config.d, config.k, config.B, "softmax", None)
-    Xor, yor, ref_loss = _logistic_oracle(config)
+    X, bounds, ref_loss = _logistic_oracle(config)
     W_true = config.w_true()
     out = []
-    for rep in reps:
+    for n, rep in cells:
+        delta = config.delta_at(n)
+        model = glm_loss(config.k, delta)
         sample = gen_logistic_data(
             n, config.d, config.k, config.B, W_true, (config.seed, n, rep, _DATA_TAG)
         )
         fit, star_pred = regularized_star_glm(
             model, ball, sample, delta, n_candidates=config.n_candidates, seed=_mix_seed(config.seed, n, rep)
         )
-        q_left = _regularized_likelihoods(star_pred.left.W, Xor, yor, delta, config.k)
-        q_right = _regularized_likelihoods(star_pred.right.W, Xor, yor, delta, config.k)
+        q_left = _regularized_likelihoods(star_pred.left.W, X, bounds, delta, config.k)
+        q_right = _regularized_likelihoods(star_pred.right.W, X, bounds, delta, config.k)
         lik_star = star_pred.lam * q_left + (1.0 - star_pred.lam) * q_right
         e_star = float(np.mean(-np.log(lik_star))) - ref_loss
         e_erm = float(np.mean(-np.log(q_left))) - ref_loss
@@ -368,9 +385,10 @@ _BLOCKS = {
 }
 
 
-def _run_block(config_dict: dict, n: int, lo: int, hi: int) -> list:
+def _run_block(config_dict: dict, cells: list) -> list:
+    """Records of the (n, rep) cells, given in n order; oracles are built once per block."""
     config = ExperimentConfig(**config_dict)
-    return _BLOCKS[config.name](config, n, range(lo, hi))
+    return _BLOCKS[config.name](config, cells)
 
 
 def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> ExperimentResult:
@@ -382,19 +400,15 @@ def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> 
     """
     jobs = config.jobs if n_jobs is None else n_jobs
     cfg = asdict(config)
-    tasks = []
+    cells = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
     if jobs > 1:
-        per = max(1, math.ceil(config.replications / jobs))
-        for n in config.n_grid:
-            for lo in range(0, config.replications, per):
-                tasks.append((n, lo, min(lo + per, config.replications)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_block, cfg, *t) for t in tasks]
-            blocks = [f.result() for f in futures]
+        # Every task takes a share of each sample size, so the tasks cost
+        # about the same; each builds its oracles once.
+        tasks = [cells[i::jobs] for i in range(min(jobs, len(cells)))]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            blocks = list(pool.map(_run_block, [cfg] * len(tasks), tasks))
     else:
-        blocks = [
-            _run_block(cfg, n, 0, config.replications) for n in config.n_grid
-        ]
+        blocks = [_run_block(cfg, cells)]
     records = [rec for block in blocks for rec in block]
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     estimators = sorted({r[0] for r in records})

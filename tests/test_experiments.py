@@ -1,13 +1,18 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from starloc import experiments
 from starloc.estimators import erm_finite, star_fit
 from starloc.experiments import (
     _DATA_TAG,
     _ORACLE_TAG,
+    _logistic_oracle,
+    _regularized_likelihoods,
     ExperimentConfig,
     bound_vs_empirical,
     fit_rate,
@@ -247,3 +252,70 @@ def test_ploss_compressed_oracle_is_exact():
             fit = star_fit(model, cls, sample)
             expected = population_excess_risk(model, fit.combined, dense, cls=cls)
             assert got[("star", n, rep)] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+# The logistic oracle is held sorted by label and scored one label block at
+# a time; these tests compare it with the dense formula over unsorted draws.
+
+
+def _dense_likelihoods(W, X, y, delta, k):
+    Z = X @ W.T
+    Zy = Z[np.arange(Z.shape[0]), y]
+    return (1.0 - delta) / np.exp(Z - Zy[:, None]).sum(axis=1) + delta / k
+
+
+def _label_sorted(X, y, k):
+    order = np.argsort(y, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=k))))
+    return X[order], y[order], bounds
+
+
+@pytest.mark.parametrize("k, labels", [(2, (0, 1)), (2, (1,)), (3, (0, 1, 2)), (3, (0, 2))])
+def test_block_likelihoods_match_dense_formula(k, labels):
+    rng = np.random.default_rng((k, len(labels)))
+    X = 4.0 * rng.standard_normal((3_000, 2))
+    y = rng.choice(np.array(labels), size=X.shape[0])
+    Xs, ys, bounds = _label_sorted(X, y, k)
+    assert np.count_nonzero(np.diff(bounds) == 0) == k - len(labels)
+    for scale in (0.3, 3.0):  # the larger scale gives score gaps of about 100
+        W = scale * rng.standard_normal((k, 2))
+        for delta in (0.0, 0.05):
+            got = _regularized_likelihoods(W, Xs, bounds, delta, k)
+            np.testing.assert_allclose(got, _dense_likelihoods(W, Xs, ys, delta, k), rtol=1e-12, atol=0)
+
+
+def test_logistic_oracle_sorts_the_dense_draws():
+    for k, W_true in ((2, None), (3, ((1.0, 0.5), (-1.0, -0.5), (0.0, 0.0)))):
+        cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), seed=7,
+                               oracle_size=100_000, B=3.0, k=k, W_true=W_true)
+        X, bounds, ref_loss = _logistic_oracle(cfg)
+        dense = gen_logistic_data(cfg.oracle_size, cfg.d, k, cfg.B, cfg.w_true(), (cfg.seed, _ORACLE_TAG))
+        probs = link_softmax(dense.X @ cfg.w_true().T)
+        assert ref_loss == float(np.mean(-np.log(probs[np.arange(cfg.oracle_size), dense.y])))
+        Xs, _, expected_bounds = _label_sorted(dense.X, dense.y, k)
+        assert np.array_equal(bounds, expected_bounds)
+        assert np.array_equal(X, Xs)
+
+
+LOGISTIC_SMALL = dict(n_grid=(32, 64, 128), replications=2, seed=5, oracle_size=100_000,
+                      delta="1/n", B=3.0)
+
+
+def test_logistic_parallel_matches_serial_and_builds_one_oracle(monkeypatch):
+    cfg = ExperimentConfig(name="logistic_rate", **LOGISTIC_SMALL)
+    built = []
+    original = experiments._logistic_oracle
+
+    def counted(config):
+        oracle = original(config)
+        built.append(weakref.ref(oracle[0]))
+        return oracle
+
+    monkeypatch.setattr(experiments, "_logistic_oracle", counted)
+    serial = run_rate_experiment(cfg, n_jobs=1)
+    assert len(built) == 1
+    gc.collect()
+    assert built[0]() is None  # nothing holds the oracle once the run returns
+    parallel = run_rate_experiment(cfg, n_jobs=2)
+    assert serial.records == parallel.records
+    assert len(serial.records) == 2 * len(cfg.n_grid) * cfg.replications
