@@ -28,6 +28,7 @@ from .complexity import (
 )
 from .estimators import erm_finite, regularized_star_glm, star_fit
 from .experiments import (
+    EXPERIMENT_NAMES,
     ExperimentConfig,
     bound_vs_empirical,
     results_csv,
@@ -59,6 +60,11 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _build_loss(args) -> LossModel:
+    # Every loss flag is echoed in the output config, so all must be finite.
+    for flag in ("p", "B", "regularize"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"--{flag} must be a finite number, not {value}")
     kind = args.loss
     if kind == "square":
         return square_loss(args.B)
@@ -358,7 +364,7 @@ def cmd_experiment(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse config {args.config}: {exc}") from exc
     cfg_obj["name"] = args.name or cfg_obj.get("name")
-    if cfg_obj.get("name") not in ("logistic_rate", "ploss_rate", "nonconvex_gap", "bound_vs_empirical"):
+    if cfg_obj.get("name") not in EXPERIMENT_NAMES:
         raise CliError(f"unknown experiment name {cfg_obj.get('name')!r}")
     if args.seed is not None:
         cfg_obj["seed"] = args.seed

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel, eval_loss, glm_loss
+from .losses import LossModel, eval_loss, glm_loss, row_max, row_sum
 from .predictors import (
     FiniteClass,
     Linear,
@@ -289,16 +289,16 @@ def _glm_risk_and_grad(W, X, y_idx, want_grad: bool = True):
     """Raw multiclass log loss logsumexp(z) - z_y, convex in W."""
     n = X.shape[0]
     Z = X @ W.T
-    zmax = Z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(Z - zmax).sum(axis=1))
+    zmax = row_max(Z)
+    E = np.exp(Z - zmax[:, None])
+    total = row_sum(E)
+    lse = zmax + np.log(total)
     risk = float(np.mean(lse - Z[np.arange(n), y_idx]))
     if not want_grad:
         return risk, None
-    P = np.exp(Z - zmax)
-    P /= P.sum(axis=1, keepdims=True)
-    R = P.copy()
-    R[np.arange(n), y_idx] -= 1.0
-    grad = R.T @ X / n
+    E /= total[:, None]  # softmax probabilities; the residual is P - onehot(y)
+    E[np.arange(n), y_idx] -= 1.0
+    grad = E.T @ X / n
     return risk, grad
 
 
@@ -417,28 +417,37 @@ class GlmStarPredictor:
         }
 
 
+def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = True):
+    """Mixture risk -mean ln(lam f_hat + (1 - lam) q) and its gradient in Wp.
+
+    q = (1 - delta) softmax(X Wp^T)_y + delta / k is the partner's
+    regularized likelihood of the observed label.
+    """
+    n, k = X.shape[0], Wp.shape[0]
+    rows = np.arange(n)
+    Z = X @ Wp.T
+    P = np.exp(Z - row_max(Z)[:, None])
+    P /= row_sum(P)[:, None]
+    py = P[rows, y_idx]
+    q = (1.0 - delta) * py + delta / k
+    mix = lam * f_hat_lik + (1.0 - lam) * q
+    risk = float(np.mean(-np.log(mix)))
+    if not want_grad:
+        return risk, None
+    w = -(1.0 - lam) * (1.0 - delta) / (mix * n)
+    R = -P * (w * py)[:, None]
+    R[rows, y_idx] += w * py
+    return risk, R.T @ X
+
+
 def _partner_polish(ball, sample, f_hat_lik, lam, W, delta, steps=25):
     """Descent on the partner weights with the mixture likelihood fixed at lam."""
     X = sample.X
-    n = sample.n
     y_idx = np.asarray(sample.y, dtype=int)
-    k = ball.k
 
     def mixed_risk_grad(Wp, want_grad=True):
-        Z = X @ Wp.T
-        zmax = Z.max(axis=1, keepdims=True)
-        P = np.exp(Z - zmax)
-        P /= P.sum(axis=1, keepdims=True)
-        q = (1.0 - delta) * P[np.arange(n), y_idx] + delta / k
-        mix = lam * f_hat_lik + (1.0 - lam) * q
-        risk = float(np.mean(-np.log(mix)))
-        if not want_grad:
-            return risk, None
-        w = -(1.0 - lam) * (1.0 - delta) / (mix * n)
-        py = P[np.arange(n), y_idx]
-        R = -P * (w * py)[:, None]
-        R[np.arange(n), y_idx] += w * py
-        return risk, R.T @ X
+        return _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad)
+
     W = np.atleast_2d(W).copy()
     risk, grad = mixed_risk_grad(W)
     h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)

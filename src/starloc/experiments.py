@@ -18,8 +18,8 @@ import numpy as np
 from .bounds import BoundInputs, packing_bound
 from .complexity import finite_empirical_profile
 from .estimators import regularized_star_glm, star_fit
-from .losses import LossModel, eval_loss, glm_loss, link_softmax, p_loss, square_loss
-from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, prediction_vector
+from .losses import LossModel, eval_loss, glm_loss, link_softmax, p_loss, row_sum, square_loss
+from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, prediction_vector, seeded_rng
 
 __all__ = [
     "ExperimentConfig",
@@ -121,23 +121,34 @@ class ExperimentResult:
     records: tuple
 
 
-def _rng(*keys) -> np.random.Generator:
-    return np.random.default_rng(tuple(int(k) for k in keys))
+def _draw_labels(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF class draw: the number of cumulative probabilities below u.
+
+    The cumulative sum runs over the columns in order, so it matches
+    cumsum(axis=1) exactly. Cumulative sums only grow, so counting over the
+    first k - 1 columns keeps the label in 0..k-1.
+    """
+    acc = np.zeros(probs.shape[0])
+    y = np.zeros(probs.shape[0], dtype=int)
+    for j in range(probs.shape[1] - 1):
+        acc += probs[:, j]
+        y += acc < u
+    return y
 
 
 def gen_logistic_data(n: int, d: int, k: int, B: float, W_true, seed) -> Sample:
     """Standard-normal features clipped to radius 10; labels from softmax(W x)."""
     W = np.asarray(W_true, dtype=float)
+    if W.shape != (k, d):
+        raise ValueError(f"W_true must have shape ({k}, {d}), not {W.shape}")
     if np.any(np.linalg.norm(W, axis=1) > B + 1e-9):
         raise ValueError("W_true rows must respect the norm bound")
-    rng = _rng(*(seed if isinstance(seed, tuple) else (seed,)))
+    rng = seeded_rng(*(seed if isinstance(seed, tuple) else (seed,)))
     X = rng.standard_normal((n, d))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     X *= np.minimum(1.0, 10.0 / np.maximum(norms, 1e-300))
-    probs = link_softmax(X @ W.T)
-    u = rng.random(n)
-    y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).clip(0, k - 1)
-    return Sample(X, y.astype(int))
+    y = _draw_labels(link_softmax(X @ W.T), rng.random(n))
+    return Sample(X, y)
 
 
 def gen_twopoint_data(n: int, c: float, b: float, sigma: float, seed):
@@ -148,7 +159,7 @@ def gen_twopoint_data(n: int, c: float, b: float, sigma: float, seed):
     """
     if not abs(b) < c:
         raise ValueError("|b| must be smaller than c")
-    rng = _rng(*(seed if isinstance(seed, tuple) else (seed,)))
+    rng = seeded_rng(*(seed if isinstance(seed, tuple) else (seed,)))
     y = b + sigma * np.clip(rng.standard_normal(n), -8.0, 8.0)
     sample = Sample(np.zeros((n, 1)), y)
     cls = FiniteClass([Constant(c), Constant(-c)])
@@ -161,7 +172,7 @@ def gen_ploss_data(n: int, center: float, scale: float, seed) -> Sample:
     E[eps^2 sgn eps] = 0, so `center` is the population p=3 risk minimizer,
     while the mean sits at center - 0.4*scale (off the class grid).
     """
-    rng = _rng(*(seed if isinstance(seed, tuple) else (seed,)))
+    rng = seeded_rng(*(seed if isinstance(seed, tuple) else (seed,)))
     eps = np.where(rng.random(n) < 0.2, 2.0 * scale, -scale)
     return Sample(np.zeros((n, 1)), center + eps)
 
@@ -262,7 +273,7 @@ def _twopoint_oracle(config: ExperimentConfig, n: int, b: float, model: LossMode
     mean((v - y)^2) = (v - ybar)^2 + var(y), and var(y) is the same for
     every constant, so one atom at ybar scores every excess exactly.
     """
-    rng = _rng(config.seed, n, _ORACLE_TAG)
+    rng = seeded_rng(config.seed, n, _ORACLE_TAG)
     y = b + config.sigma * np.clip(rng.standard_normal(config.oracle_size), -8.0, 8.0)
     model.check_target(y)
     return _atom_oracle(model, [float(np.mean(y))], [1.0])
@@ -270,7 +281,7 @@ def _twopoint_oracle(config: ExperimentConfig, n: int, b: float, model: LossMode
 
 def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
     """The p-loss oracle sample takes two values, so it is their counts."""
-    rng = _rng(config.seed, _ORACLE_TAG)
+    rng = seeded_rng(config.seed, _ORACLE_TAG)
     high = int(np.count_nonzero(rng.random(config.oracle_size) < 0.2))
     atoms = config.center + np.array([2.0 * config.noise, -config.noise])
     return _atom_oracle(model, atoms, [high, config.oracle_size - high])
@@ -284,16 +295,15 @@ def _logistic_oracle(config: ExperimentConfig):
     negative log-likelihood of the true parameter over the draws.
     """
     W = config.w_true()
-    rng = _rng(config.seed, _ORACLE_TAG)
+    rng = seeded_rng(config.seed, _ORACLE_TAG)
     X = rng.standard_normal((config.oracle_size, config.d))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     X *= np.minimum(1.0, 10.0 / np.maximum(norms, 1e-300))
     probs = link_softmax(X @ W.T)
-    u = rng.random(config.oracle_size)
-    y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).clip(0, config.k - 1)
+    y = _draw_labels(probs, rng.random(config.oracle_size))
     lik_true = probs[np.arange(config.oracle_size), y]
     ref_loss = float(np.mean(-np.log(lik_true)))
-    del probs, u, lik_true  # release the (N, k) temporaries before the sorted copy
+    del probs, lik_true  # release the (N, k) temporaries before the sorted copy
     bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=config.k))))
     # A stable sort of 8- or 16-bit labels is a radix sort.
     order = np.argsort(y.astype(np.min_scalar_type(config.k - 1)), kind="stable")
@@ -343,7 +353,7 @@ def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
     for c in range(k):
         block = slice(bounds[c], bounds[c + 1])
         gaps = np.exp(X[block] @ (np.delete(W, c, axis=0) - W[c]).T)
-        lik[block] = (1.0 - delta) / (1.0 + gaps.sum(axis=1))
+        lik[block] = (1.0 - delta) / (1.0 + row_sum(gaps))
     lik += delta / k
     return lik
 

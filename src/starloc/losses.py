@@ -10,7 +10,7 @@ margin checks and offset estimators consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,10 @@ __all__ = [
     "power_modulus",
     "uniform_convexity_alpha",
     "loss_increment_modulus",
-    "with_delta",
     "regularize_likelihood",
     "regularize_probs",
+    "row_max",
+    "row_sum",
     "link_softmax",
     "link_right_inverse",
     "sandwich_threshold",
@@ -210,8 +211,8 @@ def _log_quadratic_coef(floor: float) -> float:
 
 def square_loss(B: float = 1.0) -> LossModel:
     """Square loss (x - a)^2 on predictions and targets in [-B, B]."""
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (B > 0 and math.isfinite(B)):
+        raise ValueError(f"B must be positive and finite, not {B}")
     return LossModel(
         kind="square",
         domain=(-B, B),
@@ -228,10 +229,10 @@ def square_loss(B: float = 1.0) -> LossModel:
 
 def p_loss(p: float, B: float = 1.0) -> LossModel:
     """p-loss |x - a|^p, p > 1, on predictions and targets in [-B, B]."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (p > 1 and math.isfinite(p)):
+        raise ValueError(f"p must exceed 1 and be finite, not {p}")
+    if not (B > 0 and math.isfinite(B)):
+        raise ValueError(f"B must be positive and finite, not {B}")
     m = range_bound("p_loss", p=p, B=B)
     eta = exp_concavity_eta("p_loss", p=p, B=B)
     coef = 1.0 / max(2.0 * m, 4.0 / eta)
@@ -285,15 +286,6 @@ def glm_loss(k: int, delta: float) -> LossModel:
         delta=delta,
         k=k,
     )
-
-
-def with_delta(model: LossModel, delta: float) -> LossModel:
-    """Rebuild a likelihood model with a new regularization floor."""
-    if model.kind == "log":
-        return log_loss(delta)
-    if model.kind == "glm":
-        return glm_loss(model.k, delta)
-    return replace(model)
 
 
 def eval_loss(model: LossModel, pred, target=None):
@@ -415,12 +407,39 @@ def regularize_probs(p, delta: float):
     return (1.0 - delta) * p + delta / k
 
 
+def row_max(a):
+    """Max over the last axis of a, one column at a time.
+
+    numpy reduces a short last axis (the class axis) far slower than it
+    combines whole columns, so the softmax kernels reduce column by column.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+def row_sum(a):
+    """Sum over the last axis of a, accumulated one column at a time, in column order."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
 def link_softmax(scores):
-    """Softmax link: scores (..., k) -> probability vectors summing to 1."""
+    """Softmax link: scores (..., k) -> probability vectors summing to 1.
+
+    The max shift and the normalizing sum run over the classes in column
+    order (row_max, row_sum). numpy sums a last axis shorter than 8 in the
+    same sequential order, so for k < 8 the result is bit-identical to
+    numpy's axis reductions; from k = 8 numpy sums pairwise and the two
+    differ by rounding.
+    """
     scores = np.asarray(scores, dtype=float)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - row_max(scores)[..., None])
+    e /= row_sum(e)[..., None]
+    return e
 
 
 def link_right_inverse(probs):

@@ -23,6 +23,7 @@ from .losses import (
     sandwich_upper_slack,
     second_deriv_loss,
 )
+from .predictors import seeded_rng
 
 __all__ = [
     "MarginCheckReport",
@@ -64,10 +65,6 @@ def _report(inequality_id: str, slack: np.ndarray, tolerance: float) -> MarginCh
     violations = int(np.sum(slack < -tolerance))
     worst = float(slack.min()) if slack.size else 0.0
     return MarginCheckReport(inequality_id, int(slack.size), violations, worst, tolerance)
-
-
-def _rng(seed, *tags) -> np.random.Generator:
-    return np.random.default_rng(tuple(int(t) for t in (seed, *tags)))
 
 
 def _random_pairs(model: LossModel, n: int, rng: np.random.Generator):
@@ -116,7 +113,7 @@ def certify_mu_d_convexity(
     g = np.linspace(lo, hi, grid_size)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
-    rng = _rng(seed, 101)
+    rng = seeded_rng(seed, 101)
     if model.is_likelihood:
         gt = None
     else:
@@ -203,7 +200,7 @@ def exp_concave_margin_check(
     """gap(x, y) >= |psi(x) - psi(y)|^2 / (2m v 4/eta) on random pairs."""
     if not (math.isfinite(model.m) and model.eta > 0):
         raise ValueError("model needs finite m and positive eta")
-    rng = _rng(seed, 202)
+    rng = seeded_rng(seed, 202)
     x, y, t = _random_pairs(model, trials, rng)
     desc = loss_increment_modulus(model)
     rhs = desc.mu(model.distance(x, y, t))
@@ -225,7 +222,7 @@ def self_concordant_gap_check(
     """
     if model.kind not in ("log", "glm"):
         raise ValueError("self-concordance check covers the log/glm families")
-    rng = _rng(seed, 303)
+    rng = seeded_rng(seed, 303)
     x, y, t = _random_pairs(model, trials, rng)
     if saturation:
         x, y = np.maximum(x, y), np.minimum(x, y)
@@ -263,7 +260,7 @@ def contraction_check(
     Evaluated with the loss-increment modulus, under which the offset term
     is at most |psi(x) - psi(y)|/36 and the bound holds for every pair.
     """
-    rng = _rng(seed, 404)
+    rng = seeded_rng(seed, 404)
     x, y, t = _random_pairs(model, trials, rng)
     desc = loss_increment_modulus(model)
     inc = eval_loss(model, x, t) - eval_loss(model, y, t)
@@ -280,7 +277,7 @@ def empirical_convexity_check(
     tolerance: float = INEQUALITY_TOL,
 ) -> MarginCheckReport:
     """Averaged margin: gap of the empirical risk dominates mean_i mu(d(f_i, g_i))."""
-    rng = _rng(seed, 505)
+    rng = seeded_rng(seed, 505)
     lo, hi = model.domain
     f = rng.uniform(lo, hi, size=(trials, n))
     g = rng.uniform(lo, hi, size=(trials, n))

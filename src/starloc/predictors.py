@@ -27,7 +27,13 @@ __all__ = [
     "LinearBall",
     "predict",
     "prediction_vector",
+    "seeded_rng",
 ]
+
+
+def seeded_rng(*keys) -> np.random.Generator:
+    """Generator seeded from a tuple of ints: (seed, tag, ...) names an independent stream."""
+    return np.random.default_rng(tuple(int(k) for k in keys))
 
 
 @dataclass(frozen=True)

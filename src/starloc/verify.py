@@ -25,7 +25,7 @@ from .losses import (
     square_loss,
 )
 from .margins import MarginCheckReport
-from .predictors import Constant, FiniteClass, Sample, SegmentClass
+from .predictors import Constant, FiniteClass, Sample, SegmentClass, seeded_rng
 
 __all__ = ["SUITES", "run_suite", "standard_models"]
 
@@ -39,10 +39,6 @@ def standard_models() -> dict[str, LossModel]:
         "log": log_loss(0.1),
         "glm": glm_loss(3, 0.1),
     }
-
-
-def _rng(seed, tag):
-    return np.random.default_rng((int(seed), int(tag)))
 
 
 def _identity_report(inequality_id: str, abs_err: np.ndarray, tol: float) -> MarginCheckReport:
@@ -59,7 +55,7 @@ def _log_gap_identity(trials: int, seed: int) -> MarginCheckReport:
     than 1e-12.
     """
     model = log_loss(1e-6)
-    rng = _rng(seed, 11)
+    rng = seeded_rng(seed, 11)
     x = rng.uniform(1e-6, 1.0, trials)
     y = rng.uniform(1e-6, 1.0, trials)
     gap = mg.bregman_gap(model, x, y)
@@ -71,7 +67,7 @@ def _log_gap_identity(trials: int, seed: int) -> MarginCheckReport:
 
 def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
     """Star margins over random finite constant classes until ~trials member checks."""
-    rng = _rng(seed, 13)
+    rng = seeded_rng(seed, 13)
     lo, hi = model.domain
     done = 0
     worst = np.inf
@@ -102,7 +98,7 @@ def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
 
 def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
     """ERM margins over random segment classes; ERM = continuous segment minimizer."""
-    rng = _rng(seed, 17)
+    rng = seeded_rng(seed, 17)
     lo, hi = model.domain
     done = 0
     worst = np.inf
@@ -159,7 +155,7 @@ def margin_reports(trials: int = 10_000, grid: int = 100, seed: int = 0, tol: fl
 
 
 def _loss_range_report(model, trials, seed) -> MarginCheckReport:
-    rng = _rng(seed, 19)
+    rng = seeded_rng(seed, 19)
     lo, hi = model.domain
     x = rng.uniform(lo, hi, trials)
     t = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, trials)
@@ -170,7 +166,7 @@ def _loss_range_report(model, trials, seed) -> MarginCheckReport:
 
 def _constants_report(model, trials, seed) -> MarginCheckReport:
     """Sampled (psi')^2/psi'' <= 1/eta, psi <= m, |psi'| <= lip."""
-    rng = _rng(seed, 23)
+    rng = seeded_rng(seed, 23)
     lo, hi = model.domain
     x = rng.uniform(lo, hi, trials)
     t = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, trials)
@@ -190,7 +186,7 @@ def _constants_report(model, trials, seed) -> MarginCheckReport:
 
 def _midpoint_concavity_report(model, seed, grid_points: int = 1000) -> MarginCheckReport:
     """exp(-eta psi) is midpoint-concave along the prediction axis."""
-    rng = _rng(seed, 29)
+    rng = seeded_rng(seed, 29)
     lo, hi = model.domain
     gridv = np.linspace(lo, hi, grid_points)
     slacks = []
@@ -213,7 +209,7 @@ def _gradient_fd_report(model, trials, seed) -> MarginCheckReport:
     Step sizes scale with the distance to the nonsmooth point so both the
     truncation and roundoff terms stay uniformly small.
     """
-    rng = _rng(seed, 31)
+    rng = seeded_rng(seed, 31)
     lo, hi = model.domain
     if model.is_likelihood:
         x = rng.uniform(lo * (1 + 1e-3), hi - 1e-4, trials)
@@ -235,7 +231,7 @@ def _gradient_fd_report(model, trials, seed) -> MarginCheckReport:
 
 
 def _softmax_roundtrip_report(trials, seed) -> MarginCheckReport:
-    rng = _rng(seed, 37)
+    rng = seeded_rng(seed, 37)
     errs = []
     for k in (2, 3, 5):
         p = rng.dirichlet(np.ones(k), size=trials // 3)
@@ -251,7 +247,7 @@ def _modulus_axioms_report(model, trials, seed) -> MarginCheckReport:
 
     The local-norm pseudodistance is direction-weighted, hence not covered.
     """
-    rng = _rng(seed, 41)
+    rng = seeded_rng(seed, 41)
     z = np.sort(rng.uniform(0.0, 4.0, trials))
     mu = model.modulus.mu(z)
     inc = np.diff(mu)
@@ -268,7 +264,7 @@ def _modulus_axioms_report(model, trials, seed) -> MarginCheckReport:
 
 
 def _regularize_range_report(trials, seed) -> MarginCheckReport:
-    rng = _rng(seed, 43)
+    rng = seeded_rng(seed, 43)
     f = rng.uniform(0.0, 1.0, trials)
     d = rng.uniform(1e-6, 0.5, trials)
     out = (1.0 - d) * f + d

@@ -322,3 +322,12 @@ def test_fit_non_finite_target_is_an_error(workdir):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "non-finite target" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--B", "inf"), ("--B", "nan"), ("--p", "nan"), ("--p", "inf")])
+def test_non_finite_loss_flag_is_an_error(workdir, flag, value):
+    proc = _run_cli("fit", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
+                    "--loss", "p_loss", flag, value)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {flag} must be a finite number")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

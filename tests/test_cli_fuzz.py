@@ -94,9 +94,13 @@ def bound_case(draw):
 
 
 def _flags(names):
-    """Optional numeric flags from small values, so no run is large."""
+    """Optional numeric flags from small values, so no run is large.
+
+    Non-finite values come in every spelling float() accepts.
+    """
     return st.lists(
-        st.tuples(st.sampled_from(names), st.sampled_from(TOKENS + ["abc"])), max_size=3,
+        st.tuples(st.sampled_from(names), st.sampled_from(TOKENS + ["NaN", "Infinity", "-Infinity", "abc"])),
+        max_size=3,
     ).map(lambda pairs: [token for pair in pairs for token in pair])
 
 

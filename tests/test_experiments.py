@@ -60,6 +60,8 @@ def test_gen_logistic_extreme_w_concentrates():
 def test_gen_logistic_rejects_oversized_w():
     with pytest.raises(ValueError):
         gen_logistic_data(10, 2, 2, 1.0, np.array([[3.0, 0.0], [0.0, 0.0]]), seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        gen_logistic_data(10, 2, 2, 1.0, np.zeros((3, 2)), seed=0)
 
 
 def test_gen_twopoint_population_gap():

@@ -58,6 +58,16 @@ def test_check_target_rejects_non_finite(bad):
     square_loss(1.0).check_target(np.array([-1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="B must be"):
+        square_loss(bad)
+    with pytest.raises(ValueError, match="B must be"):
+        p_loss(3.0, bad)
+    with pytest.raises(ValueError, match="p must"):
+        p_loss(bad, 1.0)
+
+
 def test_grad_loss_examples():
     sq = square_loss(1.0)
     assert grad_loss(sq, 1.0, 0.0) == 2.0
