@@ -20,7 +20,6 @@ from .complexity import (
     EntropyProfile,
     OffsetEstimate,
     constant_profile,
-    discretize_fprime,
     entropy_eval,
     finite_empirical_profile,
     fprime_matrix,
@@ -31,7 +30,6 @@ from .complexity import (
     power_law_profile,
 )
 from .estimators import (
-    GlmStarPredictor,
     StarFit,
     empirical_risk,
     erm_finite,
@@ -102,7 +100,6 @@ from .predictors import (
     SimplexClass,
     StarMix,
     Tabular,
-    predict,
     prediction_vector,
 )
 from .verify import run_suite

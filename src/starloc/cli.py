@@ -135,6 +135,18 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
+def _delta_and_link(obj: dict, where: str):
+    """The spec's optional delta (null or a finite number); its link, if given, must be softmax."""
+    if obj.get("link", "softmax") != "softmax":
+        raise CliError(f"class spec: {where} has link {obj['link']!r}; only 'softmax' is supported")
+    delta = obj.get("delta")
+    if delta is not None and (
+        isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta)
+    ):
+        raise CliError(f"class spec: {where} 'delta' must be null or a finite number, not {delta!r}")
+    return delta
+
+
 def _predictor_from_spec(obj):
     if not isinstance(obj, dict):
         raise CliError(f"class spec: a member must be a JSON object, not {type(obj).__name__}")
@@ -148,8 +160,7 @@ def _predictor_from_spec(obj):
         return Linear(
             _spec_value(obj, "weights", _floats, where),
             _spec_value(obj, "bound", float, where) if "bound" in obj else np.inf,
-            obj.get("link", "softmax"),
-            obj.get("delta"),
+            _delta_and_link(obj, where),
         )
     if t == "star_mix":
         return StarMix(
@@ -176,12 +187,11 @@ def load_class_spec(path: str):
         members = [_predictor_from_spec(m) for m in members]
         if not members:
             raise CliError("finite class spec needs a nonempty members list")
-        return FiniteClass(members, obj.get("delta"))
+        return FiniteClass(members, _delta_and_link(obj, "finite class"))
     if variant == "linear_ball":
         return LinearBall(
             _spec_value(obj, "d", int, variant), _spec_value(obj, "k", int, variant),
-            _spec_value(obj, "bound", float, variant),
-            obj.get("link", "softmax"), obj.get("delta"),
+            _spec_value(obj, "bound", float, variant), _delta_and_link(obj, variant),
         )
     raise CliError(f"unknown class spec variant {variant!r}")
 
@@ -214,8 +224,8 @@ def _entropy_from_spec(obj) -> EntropyProfile:
     raise CliError(f"unknown entropy variant {variant!r}")
 
 
-def _describe_fit(fit, glm_pred=None) -> dict:
-    rec = {
+def _describe_fit(fit) -> dict:
+    return {
         "lambda": fit.lam,
         "erm_risk": fit.erm_risk,
         "star_risk": fit.star_risk,
@@ -225,9 +235,6 @@ def _describe_fit(fit, glm_pred=None) -> dict:
         "partner": fit.partner.describe(),
         "combined": fit.combined.describe(),
     }
-    if glm_pred is not None:
-        rec["scores_transform"] = glm_pred.describe()
-    return rec
 
 
 def cmd_verify(args) -> int:
@@ -247,10 +254,12 @@ def cmd_fit(args) -> int:
         if args.loss != "glm":
             raise CliError("linear_ball fitting is wired for the glm loss")
         delta = args.regularize
-        fit, glm_pred = regularized_star_glm(
+        fit = regularized_star_glm(
             model, cls, sample, delta, n_candidates=args.candidates, seed=args.seed
         )
-        record = _describe_fit(fit, glm_pred)
+        record = _describe_fit(fit)
+        # The GLM star mix read back in score space: link_right_inverse(combined.probs(x)).
+        record["scores_transform"] = {**record["combined"], "type": "glm_star"}
     else:
         if args.regularize is not None and cls.delta is None:
             cls = FiniteClass(cls.members, args.regularize)
@@ -469,10 +478,7 @@ def main(argv=None) -> int:
         parser.error("--levels must be at least 1")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (CliError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossModel, eval_loss, uniform_convexity_alpha
-from .predictors import FiniteClass, Predictor, Sample, StarMix, prediction_vector
+from .predictors import FiniteClass, Predictor, Sample, prediction_vector
 
 __all__ = [
     "OffsetEstimate",
     "EntropyProfile",
-    "discretize_fprime",
     "fprime_matrix",
     "offset_sup_one_draw",
     "offset_complexity_mc",
@@ -51,53 +50,23 @@ class OffsetEstimate:
     coefficient: float
 
 
-def _mix_enumeration(n_members: int, lambda_levels: int):
-    """Deterministic enumeration of the mixture class: members, then pair mixes.
-
-    Pairs run over i < j with interior mixing weights only (endpoints
-    reproduce the members), so the member rows appear exactly once.
-    """
-    if lambda_levels < 1:
-        raise ValueError("lambda_levels must be >= 1")
-    interior = np.arange(1, lambda_levels) / lambda_levels  # empty for L = 1
-    singles = [(i, i, 1.0) for i in range(n_members)]
-    pairs = [
-        (i, j, float(lam))
-        for i in range(n_members)
-        for j in range(i + 1, n_members)
-        for lam in interior
-    ]
-    return singles + pairs
-
-
-def discretize_fprime(cls: FiniteClass, lambda_levels: int = DEFAULT_LAMBDA_LEVELS) -> FiniteClass:
-    """All lam-mixes of member pairs at lam in {0, 1/L, ..., 1}.
-
-    Contains the original class (the lam = 1 diagonal); size is at most
-    M + M(M-1)(L-1)/2 <= M^2 (L+1).
-    """
-    members = cls.effective_members()
-    out = []
-    for i, j, lam in _mix_enumeration(len(members), lambda_levels):
-        if i == j:
-            out.append(members[i])
-        else:
-            out.append(StarMix(lam, members[i], members[j]))
-    return FiniteClass(out)
-
-
 def fprime_matrix(
     cls: FiniteClass, sample: Sample, lambda_levels: int = DEFAULT_LAMBDA_LEVELS
 ) -> np.ndarray:
-    """Prediction matrix of the discretized mixture class, rows in enumeration order."""
+    """Prediction matrix of the discretized mixture class: the members, then pair mixes.
+
+    Pair rows lam * f_i + (1 - lam) * f_j run over i < j (row-major) and,
+    within a pair, over the interior weights lam = 1/L, ..., (L-1)/L; the
+    endpoints reproduce the members, so each member row appears exactly
+    once and there are M + M(M-1)(L-1)/2 <= M^2 (L+1) rows.
+    """
+    if lambda_levels < 1:
+        raise ValueError("lambda_levels must be >= 1")
     base = cls.prediction_matrix(sample)
-    rows = []
-    for i, j, lam in _mix_enumeration(base.shape[0], lambda_levels):
-        if i == j:
-            rows.append(base[i])
-        else:
-            rows.append(lam * base[i] + (1.0 - lam) * base[j])
-    return np.asarray(rows)
+    i, j = np.triu_indices(base.shape[0], 1)
+    lam = (np.arange(1, lambda_levels) / lambda_levels)[None, :, None]
+    pairs = lam * base[i][:, None, :] + (1.0 - lam) * base[j][:, None, :]
+    return np.concatenate([base, pairs.reshape(-1, base.shape[1])])
 
 
 def _check_signs(signs, n):
@@ -235,7 +204,7 @@ def offset_complexity_mc(
     elif offset_kind == "uniform_convex":
         coefficient = uniform_convexity_alpha(model) / 3.0**model.p
     else:
-        coefficient = model.modulus.coef if model.modulus.mu_kind == "quadratic" else model.modulus.alpha
+        coefficient = model.modulus.coef
     return OffsetEstimate(
         offset_kind=offset_kind,
         draws=draws,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel, eval_loss, glm_loss, row_max, row_sum
+from .losses import LossModel, eval_loss, glm_loss, link_softmax, row_max, row_sum
 from .predictors import (
     FiniteClass,
     Linear,
@@ -35,10 +35,15 @@ __all__ = [
     "erm_segment",
     "erm_simplex",
     "regularized_star_glm",
-    "GlmStarPredictor",
 ]
 
 GOLDEN_TOL = 1e-10
+# Coordinate sweeps of erm_simplex; each solves its two 1-D slices exactly,
+# so the limit is rarely reached.
+_SIMPLEX_ROUNDS = 100
+# Partner-polish descent steps per round, and polish rounds per GLM fit.
+_POLISH_STEPS = 25
+_REFINE_ROUNDS = 3
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -254,12 +259,11 @@ def erm_segment(model: LossModel, seg: SegmentClass, sample: Sample):
     return preds, risk, lam
 
 
-def erm_simplex(model: LossModel, simplex: SimplexClass, sample: Sample, rounds: int = 100):
+def erm_simplex(model: LossModel, simplex: SimplexClass, sample: Sample):
     """Continuous ERM over a 2-simplex by coordinate-wise descent.
 
     The objective is convex in the barycentric weights; each sweep solves
-    the two 1-D slices exactly (derivative bisection), so the sweep limit
-    is rarely reached.
+    the two 1-D slices exactly (derivative bisection).
     """
     target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
 
@@ -267,7 +271,7 @@ def erm_simplex(model: LossModel, simplex: SimplexClass, sample: Sample, rounds:
         return float(np.mean(eval_loss(model, simplex.point(w1, w2), target)))
 
     w1, w2 = 1.0 / 3.0, 1.0 / 3.0
-    for _ in range(rounds):
+    for _ in range(_SIMPLEX_ROUNDS):
         prev = (w1, w2)
         cap = 1.0 - w2
         if cap > 0:
@@ -317,16 +321,12 @@ def erm_linear(
     ball: LinearBall,
     sample: Sample,
     steps: int = 500,
-    step_size: float | None = None,
-    seed: int = 0,
-    init: str = "zeros",
     return_history: bool = False,
 ):
-    """Projected gradient descent over the row-norm ball.
+    """Projected gradient descent over the row-norm ball, started at W = 0.
 
     Backtracking (halve on non-decrease) keeps the risk monotone; the
-    initial step is curvature-scaled unless step_size is given. init
-    'random' draws the starting point from the ball with the given seed.
+    initial step is 1 / mean ||x||^2.
     """
     X = sample.X
     if X.shape[1] != ball.d:
@@ -346,15 +346,11 @@ def erm_linear(
     else:
         raise ValueError(f"erm_linear supports glm/square, not {model.kind}")
 
-    if init == "random":
-        W = np.random.default_rng((int(seed), 7001)).standard_normal((ball.k, ball.d))
-        W = ball.project(W * ball.B / max(np.linalg.norm(W), 1e-300))
-    else:
-        W = np.zeros((ball.k, ball.d))
+    W = np.zeros((ball.k, ball.d))
     risk, grad = objective(W)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient at the initial point")
-    h = step_size if step_size is not None else 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
+    h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
     history = [risk]
     stalled = 0
     for _ in range(steps):
@@ -379,42 +375,10 @@ def erm_linear(
         stalled = stalled + 1 if drop < 1e-12 * (1.0 + abs(risk)) else 0
         if stalled >= 8 or moved < 1e-13 * (1.0 + float(np.max(np.abs(W)))):
             break
-    fitted = Linear(ball.project(W), ball.B, ball.link, ball.delta)
+    fitted = Linear(ball.project(W), ball.B, ball.delta)
     if return_history:
         return fitted, np.asarray(history)
     return fitted
-
-
-@dataclass(frozen=True, eq=False)
-class GlmStarPredictor:
-    """Mixture of two regularized softmax predictors, plus its score transform.
-
-    prob(x) = lam * q_left(x) + (1 - lam) * q_right(x) stays on the simplex
-    with components >= delta/k; scores(x) = ln prob(x) maps it back through
-    the link's right inverse, giving an (improper) score-space predictor.
-    """
-
-    lam: float
-    left: Linear
-    right: Linear
-
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        return self.lam * self.left.probs(X) + (1.0 - self.lam) * self.right.probs(X)
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return np.log(self.probs(X))
-
-    def likelihoods(self, X: np.ndarray, y_idx: np.ndarray) -> np.ndarray:
-        p = self.probs(X)
-        return p[np.arange(p.shape[0]), np.asarray(y_idx, dtype=int)]
-
-    def describe(self) -> dict:
-        return {
-            "type": "glm_star",
-            "lam": self.lam,
-            "left": self.left.describe(),
-            "right": self.right.describe(),
-        }
 
 
 def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = True):
@@ -425,9 +389,7 @@ def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = 
     """
     n, k = X.shape[0], Wp.shape[0]
     rows = np.arange(n)
-    Z = X @ Wp.T
-    P = np.exp(Z - row_max(Z)[:, None])
-    P /= row_sum(P)[:, None]
+    P = link_softmax(X @ Wp.T)
     py = P[rows, y_idx]
     q = (1.0 - delta) * py + delta / k
     mix = lam * f_hat_lik + (1.0 - lam) * q
@@ -440,7 +402,7 @@ def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = 
     return risk, R.T @ X
 
 
-def _partner_polish(ball, sample, f_hat_lik, lam, W, delta, steps=25):
+def _partner_polish(ball, sample, f_hat_lik, lam, W, delta):
     """Descent on the partner weights with the mixture likelihood fixed at lam."""
     X = sample.X
     y_idx = np.asarray(sample.y, dtype=int)
@@ -451,7 +413,7 @@ def _partner_polish(ball, sample, f_hat_lik, lam, W, delta, steps=25):
     W = np.atleast_2d(W).copy()
     risk, grad = mixed_risk_grad(W)
     h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         ok = False
         for _ in range(40):
             W_new = ball.project(W - h * grad)
@@ -475,24 +437,25 @@ def regularized_star_glm(
     delta: float,
     n_candidates: int = 64,
     seed: int = 0,
-    refine_rounds: int = 3,
-):
+) -> StarFit:
     """Star aggregation in the delta-regularized likelihood class.
 
     Candidates are the projected-gradient ERM plus seeded uniform draws from
     the ball; every candidate's probability vector is mixed toward uniform
-    before the log-loss star fit. Returns (StarFit, GlmStarPredictor).
+    before the log-loss star fit. The returned fit's combined StarMix gives
+    the mixed probability vectors (combined.probs), and
+    link_right_inverse(combined.probs(X)) is its improper score transform.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
     if model_log.kind not in ("log", "glm"):
         raise ValueError("regularized star aggregation expects a likelihood loss")
     model = glm_loss(ball.k, delta)
-    raw_ball = LinearBall(ball.d, ball.k, ball.B, ball.link, None)
-    reg_ball = LinearBall(ball.d, ball.k, ball.B, ball.link, delta)
-    erm_pred = erm_linear(model, raw_ball, sample, seed=seed)
+    raw_ball = LinearBall(ball.d, ball.k, ball.B)
+    reg_ball = LinearBall(ball.d, ball.k, ball.B, delta)
+    erm_pred = erm_linear(model, raw_ball, sample)
     rng = np.random.default_rng((int(seed), 7002))
-    candidates = [Linear(erm_pred.W, ball.B, ball.link, delta)]
+    candidates = [Linear(erm_pred.W, ball.B, delta)]
     candidates += [reg_ball.random_member(rng) for _ in range(n_candidates)]
 
     cls = FiniteClass(candidates)
@@ -501,11 +464,10 @@ def regularized_star_glm(
     f_hat_lik = fit.erm_preds
     partner = fit.partner
     star_risk = fit.star_risk
-    y_idx = np.asarray(sample.y, dtype=int)
 
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         W_p, _ = _partner_polish(reg_ball, sample, f_hat_lik, lam, partner.W, delta)
-        cand = Linear(W_p, ball.B, ball.link, delta)
+        cand = Linear(W_p, ball.B, delta)
         cand_lik = prediction_vector(cand, sample)
         new_lam, new_risk = line_search_segment(model, f_hat_lik, cand_lik)
         if new_risk < star_risk - 1e-15:
@@ -515,7 +477,7 @@ def regularized_star_glm(
 
     erm_member = candidates[0]
     star_preds = lam * f_hat_lik + (1.0 - lam) * prediction_vector(partner, sample)
-    final = StarFit(
+    return StarFit(
         erm=erm_member,
         partner=partner,
         lam=lam,
@@ -527,4 +489,3 @@ def regularized_star_glm(
         erm_preds=f_hat_lik,
         star_preds=star_preds,
     )
-    return final, GlmStarPredictor(lam, erm_member, partner)

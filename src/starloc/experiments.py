@@ -19,7 +19,7 @@ from .bounds import BoundInputs, packing_bound
 from .complexity import finite_empirical_profile
 from .estimators import regularized_star_glm, star_fit
 from .losses import LossModel, eval_loss, glm_loss, link_softmax, p_loss, row_sum, square_loss
-from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, prediction_vector, seeded_rng
+from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, clip_rows, prediction_vector, seeded_rng
 
 __all__ = [
     "ExperimentConfig",
@@ -144,9 +144,7 @@ def gen_logistic_data(n: int, d: int, k: int, B: float, W_true, seed) -> Sample:
     if np.any(np.linalg.norm(W, axis=1) > B + 1e-9):
         raise ValueError("W_true rows must respect the norm bound")
     rng = seeded_rng(*(seed if isinstance(seed, tuple) else (seed,)))
-    X = rng.standard_normal((n, d))
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    X *= np.minimum(1.0, 10.0 / np.maximum(norms, 1e-300))
+    X = clip_rows(rng.standard_normal((n, d)), 10.0)
     y = _draw_labels(link_softmax(X @ W.T), rng.random(n))
     return Sample(X, y)
 
@@ -296,9 +294,7 @@ def _logistic_oracle(config: ExperimentConfig):
     """
     W = config.w_true()
     rng = seeded_rng(config.seed, _ORACLE_TAG)
-    X = rng.standard_normal((config.oracle_size, config.d))
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    X *= np.minimum(1.0, 10.0 / np.maximum(norms, 1e-300))
+    X = clip_rows(rng.standard_normal((config.oracle_size, config.d)), 10.0)
     probs = link_softmax(X @ W.T)
     y = _draw_labels(probs, rng.random(config.oracle_size))
     lik_true = probs[np.arange(config.oracle_size), y]
@@ -359,7 +355,7 @@ def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
 
 
 def _block_logistic(config: ExperimentConfig, cells: list) -> list:
-    ball = LinearBall(config.d, config.k, config.B, "softmax", None)
+    ball = LinearBall(config.d, config.k, config.B)
     X, bounds, ref_loss = _logistic_oracle(config)
     W_true = config.w_true()
     out = []
@@ -369,12 +365,12 @@ def _block_logistic(config: ExperimentConfig, cells: list) -> list:
         sample = gen_logistic_data(
             n, config.d, config.k, config.B, W_true, (config.seed, n, rep, _DATA_TAG)
         )
-        fit, star_pred = regularized_star_glm(
+        fit = regularized_star_glm(
             model, ball, sample, delta, n_candidates=config.n_candidates, seed=_mix_seed(config.seed, n, rep)
         )
-        q_left = _regularized_likelihoods(star_pred.left.W, X, bounds, delta, config.k)
-        q_right = _regularized_likelihoods(star_pred.right.W, X, bounds, delta, config.k)
-        lik_star = star_pred.lam * q_left + (1.0 - star_pred.lam) * q_right
+        q_left = _regularized_likelihoods(fit.erm.W, X, bounds, delta, config.k)
+        q_right = _regularized_likelihoods(fit.partner.W, X, bounds, delta, config.k)
+        lik_star = fit.lam * q_left + (1.0 - fit.lam) * q_right
         e_star = float(np.mean(-np.log(lik_star))) - ref_loss
         e_erm = float(np.mean(-np.log(q_left))) - ref_loss
         out.append(("erm", n, rep, e_erm))

@@ -51,40 +51,24 @@ _DOMAIN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ModulusDescriptor:
-    """Convexity modulus mu composed with a (pseudo)metric d.
+    """Quadratic convexity modulus mu(z) = coef * z^2 composed with a (pseudo)metric d.
 
-    mu_kind: 'quadratic' (coef * z^2), 'power' (alpha * z^p), or
-        'omega' (z - ln(1 + z)).
-    d_kind: 'absolute', 'log_metric', 'loss_increment', or 'local_norm'.
+    d_kind: 'absolute', 'log_metric', or 'loss_increment'.
     """
 
-    mu_kind: str
     d_kind: str
     coef: float = 1.0
-    power: float = 2.0
-    alpha: float = 1.0
 
     def mu(self, z):
         z = np.asarray(z, dtype=float)
-        if self.mu_kind == "quadratic":
-            return self.coef * z * z
-        if self.mu_kind == "power":
-            return self.alpha * np.abs(z) ** self.power
-        if self.mu_kind == "omega":
-            return z - np.log1p(z)
-        raise ValueError(f"unknown mu_kind {self.mu_kind!r}")
+        return self.coef * z * z
 
     def mu_inv(self, w):
-        """Closed-form inverse of mu; defined for quadratic and power kinds."""
+        """Inverse of mu on [0, inf)."""
         w = np.asarray(w, dtype=float)
         if np.any(w < -_DOMAIN_SLACK):
             raise ValueError("mu_inv requires nonnegative input")
-        w = np.maximum(w, 0.0)
-        if self.mu_kind == "quadratic":
-            return np.sqrt(w / self.coef)
-        if self.mu_kind == "power":
-            return (w / self.alpha) ** (1.0 / self.power)
-        raise ValueError(f"mu_inv not available in closed form for {self.mu_kind!r}")
+        return np.sqrt(np.maximum(w, 0.0) / self.coef)
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def square_loss(B: float = 1.0) -> LossModel:
         m=range_bound("square", B=B),
         eta=exp_concavity_eta("square", B=B),
         lip=lipschitz_bound("square", B=B),
-        modulus=ModulusDescriptor("quadratic", "absolute", coef=1.0),
+        modulus=ModulusDescriptor("absolute", coef=1.0),
         p=2.0,
         B=B,
         target_lo=-B,
@@ -242,7 +226,7 @@ def p_loss(p: float, B: float = 1.0) -> LossModel:
         m=m,
         eta=eta,
         lip=lipschitz_bound("p_loss", p=p, B=B),
-        modulus=ModulusDescriptor("quadratic", "loss_increment", coef=coef),
+        modulus=ModulusDescriptor("loss_increment", coef=coef),
         p=p,
         B=B,
         target_lo=-B,
@@ -260,7 +244,7 @@ def log_loss(delta: float = LOG_DOMAIN_FLOOR) -> LossModel:
         m=range_bound("log", delta=delta),
         eta=1.0,
         lip=lipschitz_bound("log", delta=delta),
-        modulus=ModulusDescriptor("quadratic", "log_metric", coef=_log_quadratic_coef(delta)),
+        modulus=ModulusDescriptor("log_metric", coef=_log_quadratic_coef(delta)),
         delta=delta,
     )
 
@@ -282,7 +266,7 @@ def glm_loss(k: int, delta: float) -> LossModel:
         m=range_bound("glm", delta=floor),
         eta=1.0,
         lip=lipschitz_bound("glm", delta=floor),
-        modulus=ModulusDescriptor("quadratic", "log_metric", coef=_log_quadratic_coef(floor)),
+        modulus=ModulusDescriptor("log_metric", coef=_log_quadratic_coef(floor)),
         delta=delta,
         k=k,
     )
@@ -377,11 +361,7 @@ def loss_increment_modulus(model: LossModel) -> ModulusDescriptor:
     For log/glm models this coincides with the canonical log-metric modulus
     (the log metric is the loss increment of -ln).
     """
-    return ModulusDescriptor(
-        "quadratic",
-        "loss_increment",
-        coef=1.0 / max(2.0 * model.m, 4.0 / model.eta),
-    )
+    return ModulusDescriptor("loss_increment", coef=1.0 / max(2.0 * model.m, 4.0 / model.eta))
 
 
 def regularize_likelihood(f, delta: float):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import link_softmax, regularize_likelihood, regularize_probs
+from .losses import link_softmax, regularize_likelihood, regularize_probs, row_sum
 
 __all__ = [
     "Sample",
@@ -25,7 +25,7 @@ __all__ = [
     "SegmentClass",
     "SimplexClass",
     "LinearBall",
-    "predict",
+    "clip_rows",
     "prediction_vector",
     "seeded_rng",
 ]
@@ -34,6 +34,17 @@ __all__ = [
 def seeded_rng(*keys) -> np.random.Generator:
     """Generator seeded from a tuple of ints: (seed, tag, ...) names an independent stream."""
     return np.random.default_rng(tuple(int(k) for k in keys))
+
+
+def clip_rows(X: np.ndarray, radius: float) -> np.ndarray:
+    """Scale, in place, the rows of X whose 2-norm exceeds radius back to radius; returns X.
+
+    The row norms are summed one column at a time (row_sum), which for
+    fewer than 8 columns gives the same bits as np.linalg.norm(X, axis=1).
+    """
+    norms = np.sqrt(row_sum(X * X))
+    X *= np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
+    return X
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,6 @@ class Linear(Predictor):
 
     W: np.ndarray
     bound: float
-    link: str = "softmax"
     delta: float | None = None
 
     def __post_init__(self):
@@ -139,7 +149,7 @@ class Linear(Predictor):
             "type": "linear",
             "weights": self.W.tolist(),
             "bound": self.bound,
-            "link": self.link,
+            "link": "softmax",
             "delta": self.delta,
         }
 
@@ -156,6 +166,15 @@ class StarMix(Predictor):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
 
+    def probs(self, X: np.ndarray) -> np.ndarray:
+        """Mixed probability vectors of two GLM members (each with a probs method).
+
+        A mix of delta-regularized softmax vectors stays on the simplex with
+        every component >= delta/k, so link_right_inverse maps it back to
+        (improper) scores.
+        """
+        return self.lam * self.left.probs(X) + (1.0 - self.lam) * self.right.probs(X)
+
     def describe(self) -> dict:
         return {
             "type": "star_mix",
@@ -163,35 +182,6 @@ class StarMix(Predictor):
             "left": self.left.describe(),
             "right": self.right.describe(),
         }
-
-
-def predict(predictor: Predictor, x=None, example_id: int | None = None, label=None):
-    """Evaluate one predictor on one example.
-
-    GLM linear predictors return the observed-label likelihood when a label
-    is supplied and the full probability vector otherwise.
-    """
-    if isinstance(predictor, Constant):
-        v = predictor.value
-        if isinstance(v, np.ndarray) and label is not None:
-            return float(v[int(label)])
-        return v
-    if isinstance(predictor, Tabular):
-        if example_id is None:
-            raise ValueError("tabular predictors require an example id")
-        return float(predictor.values[int(example_id)])
-    if isinstance(predictor, Linear):
-        if predictor.k == 1:
-            return float(predictor.scores(np.atleast_2d(x))[0, 0])
-        p = predictor.probs(np.atleast_2d(x))[0]
-        if label is not None:
-            return float(p[int(label)])
-        return p
-    if isinstance(predictor, StarMix):
-        a = predict(predictor.left, x, example_id, label)
-        b = predict(predictor.right, x, example_id, label)
-        return predictor.lam * a + (1.0 - predictor.lam) * b
-    raise TypeError(f"unknown predictor type {type(predictor).__name__}")
 
 
 def prediction_vector(predictor: Predictor, sample: Sample) -> np.ndarray:
@@ -254,7 +244,7 @@ class FiniteClass:
             elif isinstance(m, Tabular):
                 out.append(Tabular(regularize_likelihood(m.values, self.delta)))
             elif isinstance(m, Linear) and m.k > 1:
-                out.append(Linear(m.W, m.bound, m.link, self.delta))
+                out.append(Linear(m.W, m.bound, self.delta))
             else:
                 raise ValueError("delta regularization applies to likelihood members")
         return out
@@ -321,7 +311,6 @@ class LinearBall:
     d: int
     k: int
     B: float
-    link: str = "softmax"
     delta: float | None = None
 
     def random_member(self, rng: np.random.Generator) -> Linear:
@@ -332,11 +321,8 @@ class LinearBall:
             direction /= max(np.linalg.norm(direction), 1e-300)
             radius = self.B * rng.random() ** (1.0 / self.d)
             W[r] = radius * direction
-        return Linear(W, self.B, self.link, self.delta)
+        return Linear(W, self.B, self.delta)
 
     def project(self, W: np.ndarray) -> np.ndarray:
         """Project rows onto the ball (scale rows whose norm exceeds B)."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        norms = np.linalg.norm(W, axis=1, keepdims=True)
-        scale = np.minimum(1.0, self.B / np.maximum(norms, 1e-300))
-        return W * scale
+        return clip_rows(np.array(W, dtype=float, ndmin=2), self.B)

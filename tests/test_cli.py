@@ -238,6 +238,21 @@ def test_class_spec_linear_ball(workdir):
     assert isinstance(cls, FiniteClass)
 
 
+def test_fit_linear_ball_scores_transform_is_the_combined_mix(workdir):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((24, 2))
+    rows = "".join(f"{a!r},{b!r},{1 + int(a > 0)}\n" for a, b in X.tolist())
+    (workdir / "glm.csv").write_text("x1,x2,y\n" + rows)
+    spec = workdir / "ball.json"
+    spec.write_text(json.dumps({"variant": "linear_ball", "d": 2, "k": 2, "bound": 3.0}))
+    out = workdir / "fit.json"
+    assert main(["fit", str(workdir / "glm.csv"), "--class-spec", str(spec), "--loss", "glm",
+                 "--regularize", "0.05", "--candidates", "8", "--out", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["combined"]["type"] == "star_mix"
+    assert fit["scores_transform"] == {**fit["combined"], "type": "glm_star"}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "starloc", "--version"],
@@ -304,14 +319,21 @@ def _run_cli(*argv):
     {"variant": "finite", "members": [{"type": "star_mix", "lam": 0.5,
                                        "left": {"type": "constant", "value": 0.1}}]},
     {"variant": "linear_ball", "d": 1, "k": 2, "bound": None},
+    {"variant": "finite", "delta": "x", "members": [{"type": "constant", "value": 0.6}]},
+    {"variant": "finite", "delta": [0.1], "members": [{"type": "constant", "value": 0.6}]},
+    {"variant": "finite", "members": [{"type": "linear", "weights": [[0.5], [-0.5]], "delta": "x"}]},
+    {"variant": "finite", "members": [{"type": "linear", "weights": [[0.5]], "link": "identity"}]},
+    {"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0, "link": "identity"},
+    {"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0, "delta": "x"},
 ], ids=["top-level-list", "missing-value", "null-value", "object-value", "bare-number",
-        "null-bound", "missing-right", "ball-null-bound"])
+        "null-bound", "missing-right", "ball-null-bound", "string-delta", "list-delta",
+        "member-string-delta", "member-identity-link", "ball-identity-link", "ball-string-delta"])
 def test_malformed_class_spec_is_an_error(workdir, command, spec):
     path = workdir / "bad.json"
     path.write_text(json.dumps(spec))
     proc = _run_cli(command, str(workdir / "data.csv"), "--class-spec", str(path), "--loss", "square")
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith("error: class spec")
     assert "Traceback" not in proc.stderr
 
 

@@ -56,7 +56,7 @@ GOOD_MEMBERS = [
     {"type": "constant", "value": 0.3},
     {"type": "constant", "value": -0.4},
     {"type": "tabular", "values": [0.1, -0.2, 0.3, 0.0, 0.5]},
-    {"type": "linear", "weights": [[0.5], [-0.5]], "bound": 1.0},
+    {"type": "linear", "weights": [[0.5], [-0.5]], "bound": 1.0, "link": "softmax", "delta": 0.1},
     {"type": "star_mix", "lam": 0.5, "left": {"type": "constant", "value": 0.2},
      "right": {"type": "constant", "value": -0.1}},
 ]
@@ -65,8 +65,8 @@ MEMBER = st.one_of(
 )
 CLASS_SPEC = st.one_of(
     st.builds(lambda members: {"variant": "finite", "members": members}, st.lists(MEMBER, min_size=1, max_size=4)),
-    perturbed({"variant": "finite", "members": GOOD_MEMBERS[:2], "delta": 0.1}),
-    perturbed({"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0}),
+    perturbed({"variant": "finite", "members": GOOD_MEMBERS[:2], "delta": 0.1, "link": "softmax"}),
+    perturbed({"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0, "link": "softmax", "delta": 0.1}),
     JUNK,
 )
 

@@ -7,7 +7,6 @@ import pytest
 from starloc.complexity import (
     _PAIR_CHUNK,
     constant_profile,
-    discretize_fprime,
     entropy_eval,
     finite_empirical_profile,
     fprime_matrix,
@@ -18,7 +17,7 @@ from starloc.complexity import (
     power_law_profile,
 )
 from starloc.losses import eval_loss, p_loss, square_loss
-from starloc.predictors import Constant, FiniteClass, Sample
+from starloc.predictors import Constant, FiniteClass, Sample, Tabular
 
 
 def _const_sample(y):
@@ -26,16 +25,29 @@ def _const_sample(y):
     return Sample(np.zeros((len(y), 1)), y)
 
 
-def test_discretize_fprime_sizes():
-    single = FiniteClass([Constant(0.3)])
-    assert len(discretize_fprime(single, 20)) == 1
-    two = FiniteClass([Constant(0.0), Constant(1.0)])
-    assert len(discretize_fprime(two, 1)) == 2  # lam in {0, 1} reproduces members
-    f2 = discretize_fprime(two, 2)
-    assert len(f2) == 3  # members plus the midpoint
+def test_fprime_matrix_sizes():
     sample = _const_sample([0.0])
+    assert fprime_matrix(FiniteClass([Constant(0.3)]), sample, 20).shape == (1, 1)
+    two = FiniteClass([Constant(0.0), Constant(1.0)])
+    assert fprime_matrix(two, sample, 1).shape == (2, 1)  # lam in {0, 1} reproduces members
     mat = fprime_matrix(two, sample, 2)
+    assert mat.shape == (3, 1)  # members plus the midpoint
     assert 0.5 in mat[:, 0]
+
+
+@pytest.mark.parametrize("members", [1, 2, 5, 12])
+@pytest.mark.parametrize("levels", [1, 2, 7, 20])
+def test_fprime_matrix_matches_loop_enumeration(members, levels):
+    rng = np.random.default_rng((members, levels))
+    sample = _const_sample(np.zeros(6))
+    cls = FiniteClass([Tabular(row) for row in rng.uniform(-1, 1, (members, 6))])
+    base = cls.prediction_matrix(sample)
+    rows = list(base)
+    for i in range(members):
+        for j in range(i + 1, members):
+            for lam in np.arange(1, levels) / levels:
+                rows.append(float(lam) * base[i] + (1.0 - float(lam)) * base[j])
+    np.testing.assert_array_equal(fprime_matrix(cls, sample, levels), np.asarray(rows))
 
 
 def test_fprime_contains_class_and_bound():
@@ -227,8 +239,6 @@ def test_lambda_levels_below_one_rejected():
             fprime_matrix(cls, sample, levels)
         with pytest.raises(ValueError):
             offset_complexity_mc(square_loss(1.0), cls, None, sample, "exp_concave", draws=2, lambda_levels=levels)
-        with pytest.raises(ValueError):
-            discretize_fprime(cls, levels)
 
 
 def test_batched_offset_equals_row_by_row(rng):

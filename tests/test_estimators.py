@@ -14,7 +14,7 @@ from starloc.estimators import (
     regularized_star_glm,
     star_fit,
 )
-from starloc.losses import glm_loss, link_softmax, log_loss, square_loss
+from starloc.losses import glm_loss, link_right_inverse, link_softmax, log_loss, square_loss
 from starloc.predictors import (
     Constant,
     FiniteClass,
@@ -24,7 +24,6 @@ from starloc.predictors import (
     SegmentClass,
     StarMix,
     Tabular,
-    predict,
     prediction_vector,
 )
 
@@ -34,19 +33,26 @@ def _const_sample(y):
     return Sample(np.zeros((len(y), 1)), y)
 
 
-def test_predict_variants():
-    assert predict(Constant(0.7), x=[1.0]) == 0.7
+def test_prediction_vector_variants():
+    sample = Sample(np.array([[0.3, -0.1], [1.0, 2.0]]), np.array([1, 0]))
+    np.testing.assert_array_equal(prediction_vector(Constant(0.7), sample), [0.7, 0.7])
+    # probability-vector constants give the observed label's likelihood
+    np.testing.assert_array_equal(prediction_vector(Constant(np.array([0.2, 0.8])), sample), [0.8, 0.2])
+    np.testing.assert_array_equal(prediction_vector(Tabular([0.1, 0.9]), sample), [0.1, 0.9])
     mix = StarMix(0.5, Constant(0.0), Constant(1.0))
-    assert predict(mix, x=[0.0]) == 0.5
+    np.testing.assert_array_equal(prediction_vector(mix, sample), [0.5, 0.5])
+    # k = 1 gives the scalar score; k > 1 the softmax likelihood, mixed toward uniform with delta
+    w = np.array([[0.5, -0.25]])
+    np.testing.assert_allclose(prediction_vector(Linear(w, bound=1.0), sample), sample.X @ w[0], rtol=1e-15)
     lin = Linear(np.zeros((2, 2)), bound=1.0)
-    np.testing.assert_allclose(predict(lin, x=[0.3, -0.1]), [0.5, 0.5])
-    assert predict(lin, x=[0.3, -0.1], label=1) == 0.5
-    tab = Tabular([0.1, 0.9])
-    assert predict(tab, example_id=1) == 0.9
+    np.testing.assert_allclose(prediction_vector(lin, sample), [0.5, 0.5], rtol=1e-15)
+    W = np.array([[0.5, 0.2], [-0.3, 0.1]])
+    p = link_softmax(sample.X @ W.T)[[0, 1], [1, 0]]
+    np.testing.assert_allclose(prediction_vector(Linear(W, 1.0, delta=0.1), sample), 0.9 * p + 0.05, rtol=1e-15)
     with pytest.raises(ValueError):
-        predict(tab)
+        prediction_vector(Tabular([0.1, 0.9, 0.5]), sample)
     with pytest.raises(ValueError):
-        predict(Linear(np.zeros((2, 3)), bound=1.0), x=[1.0, 2.0])
+        prediction_vector(Linear(np.zeros((2, 3)), bound=1.0), sample)
 
 
 def test_linear_rejects_rows_outside_ball():
@@ -244,15 +250,15 @@ def test_regularized_star_glm_contract(rng):
     probs = link_softmax(X @ np.array([[1.0, 0.0], [-1.0, 0.0]]).T)
     y = (rng.random(128) < probs[:, 1]).astype(int)
     sample = Sample(X, y)
-    fit, star_pred = regularized_star_glm(glm, ball, sample, 0.5, n_candidates=8, seed=0)
+    fit = regularized_star_glm(glm, ball, sample, 0.5, n_candidates=8, seed=0)
     # regularized with delta = 1/2: all likelihoods in [delta/k, 1]
     assert fit.star_preds.min() >= 0.25 - 1e-12
     assert fit.star_risk <= fit.erm_risk + 1e-12
-    P = star_pred.probs(X[:16])
+    P = fit.combined.probs(X[:16])
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert P.min() >= 0.5 / 2 - 1e-12
     # score transform maps back through the link exactly
-    np.testing.assert_allclose(link_softmax(star_pred.scores(X[:16])), P, atol=1e-12)
+    np.testing.assert_allclose(link_softmax(link_right_inverse(P)), P, atol=1e-12)
 
 
 def test_regularized_star_glm_excess_drop_bound(rng):
