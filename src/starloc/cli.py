@@ -59,12 +59,16 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_loss(args) -> LossModel:
-    # Every loss flag is echoed in the output config, so all must be finite.
-    for flag in ("p", "B", "regularize"):
+def _check_finite_flags(args, *flags) -> None:
+    # These flags are echoed in the output config, so all must be finite.
+    for flag in flags:
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise CliError(f"--{flag} must be a finite number, not {value}")
+
+
+def _build_loss(args) -> LossModel:
+    _check_finite_flags(args, "p", "B", "regularize")
     kind = args.loss
     if kind == "square":
         return square_loss(args.B)
@@ -238,6 +242,7 @@ def _describe_fit(fit) -> dict:
 
 
 def cmd_verify(args) -> int:
+    _check_finite_flags(args, "tol")
     reports = run_suite(args.suite, trials=args.trials, grid=args.grid, seed=args.seed, tol=args.tol)
     payload = _header(args.seed, {"suite": args.suite, "trials": args.trials, "grid": args.grid, "tol": args.tol})
     payload["reports"] = [asdict(r) for r in reports]
@@ -476,6 +481,9 @@ def main(argv=None) -> int:
         parser.error("--draws must be at least 1")
     if getattr(args, "levels", 1) < 1:
         parser.error("--levels must be at least 1")
+    if getattr(args, "trials", 3) < 3:
+        # the softmax round-trip check draws trials // 3 probability vectors
+        parser.error("--trials must be at least 3")
     try:
         return args.func(args)
     except (CliError, ValueError, ArithmeticError, RuntimeError) as exc:

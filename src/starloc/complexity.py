@@ -7,7 +7,6 @@ per-draw suprema. Entropy profiles feed the closed-form risk bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,34 +87,52 @@ def _exp_concave_coefficient(model: LossModel) -> float:
 def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Per-row pair suprema of (4/n)(t_i - t_j) - (coef/n)|psi_i - psi_j|^2, t = psi S[d].
 
-    Each _PAIR_CHUNK block of penalties is built once and shared by every
-    draw; per draw only t and the masked block maximum are computed.
+    Pair (i, j) is worth v_ij = fl(fl(t_i - t_j) * 4/n) - pen_ij, pen_ij =
+    coef * max(q_i + q_j - 2 G_ij, 0) with q_i = |psi_i|^2 and G = psi psi^T
+    taken from one BLAS product per _PAIR_CHUNK row block (an entry's bits
+    depend on the shape of that product); the diagonal pair is exactly 0.
+
+    Per draw, with hi = argmax t and lo = argmin t, theta = max(0, v(hi, lo))
+    is computed with G_hi,lo shrunk by 4 n eps: any summation order of n
+    nonnegative products (psi >= 0) is within a factor 1 +- n eps / 2 (to
+    first order) of the exact sum, and pen is nonincreasing in G, so theta
+    is at most the supremum. Only rows with fl(fl(t_i - t_lo) * 4/n) > theta
+    and columns with fl(fl(t_hi - t_j) * 4/n) > theta are evaluated. This
+    is exact: pen >= 0 and rounding is monotone, so a skipped pair has
+    v_ij <= theta, and the supremum is theta or the largest evaluated v_ij.
     """
     size, n = psi_f.shape
     coef = _exp_concave_coefficient(model) / n
-    ts = [psi_f @ s for s in S]
+
+    def value(dt, qq, g):
+        # v from t_i - t_j, q_i + q_j and G_ij, one formula for seeds and pairs
+        return dt * (4.0 / n) - coef * np.maximum(qq - 2.0 * g, 0.0)
+
     q = np.einsum("ij,ij->i", psi_f, psi_f)
-    best = [-math.inf] * len(S)
-    buf = np.empty((min(_PAIR_CHUNK, size), size))
-    for s0 in range(0, size, _PAIR_CHUNK):
+    T = np.array([psi_f @ s for s in S])
+    hi, lo = T.argmax(axis=1), T.argmin(axis=1)
+    draws = np.arange(len(T))
+    g_low = np.einsum("ij,ij->i", psi_f[hi], psi_f[lo]) * (1.0 - 4.0 * n * np.finfo(float).eps)
+    best = np.maximum(value(T[draws, hi] - T[draws, lo], q[hi] + q[lo], g_low), 0.0)
+    kept = [
+        (
+            np.flatnonzero((t - t[lo[d]]) * (4.0 / n) > best[d]),
+            np.flatnonzero((t[hi[d]] - t) * (4.0 / n) > best[d]),
+        )
+        for d, t in enumerate(T)
+    ]
+    gram = np.empty((min(_PAIR_CHUNK, size), size))
+    for s0 in np.unique(np.concatenate([rows for rows, _ in kept]) // _PAIR_CHUNK) * _PAIR_CHUNK:
         s1 = min(s0 + _PAIR_CHUNK, size)
-        block = buf[: s1 - s0]
-        rows = np.arange(s0, s1)
-        diag = (rows - s0, rows)
-        pen = psi_f[s0:s1] @ psi_f.T
-        pen *= 2.0
-        np.subtract(np.add(q[s0:s1, None], q[None, :], out=block), pen, out=pen)
-        np.maximum(pen, 0.0, out=pen)
-        pen *= coef
-        for d, t in enumerate(ts):
-            np.subtract(t[s0:s1, None], t[None, :], out=block)
-            block *= 4.0 / n
-            block -= pen
-            # the diagonal pair is identically zero; keep it exact so the
-            # supremum over pairs is never pulled below 0 by roundoff
-            block[diag] = 0.0
-            best[d] = max(best[d], float(block.max()))
-    return np.array(best)
+        G = np.matmul(psi_f[s0:s1], psi_f.T, out=gram[: s1 - s0])
+        for d, (rows, cols) in enumerate(kept):
+            rows = rows[np.searchsorted(rows, s0) : np.searchsorted(rows, s1)]
+            if rows.size:
+                t = T[d]
+                val = value(t[rows, None] - t[cols], q[rows, None] + q[cols], G[np.ix_(rows - s0, cols)])
+                val[rows[:, None] == cols] = 0.0
+                best[d] = max(best[d], val.max())
+    return best
 
 
 def offset_sup_one_draw(
@@ -130,8 +147,8 @@ def offset_sup_one_draw(
 
     signs of shape (n,) give a float; signs of shape (draws, n) give an
     array of draws suprema, each bit-identical to the single-vector call on
-    that row. The losses, pair distances and penalties do not depend on the
-    signs and are computed once per call.
+    that row. The losses and the mu_d and uniform_convex penalties do not
+    depend on the signs and are computed once per call.
 
     mu_d and uniform_convex maximize over members against the fixed
     reference; exp_concave maximizes over ordered member pairs (the

@@ -109,16 +109,18 @@ def _golden_batch(risk_fn, n_segments: int, tol: float = GOLDEN_TOL):
     """
     lo = np.zeros(n_segments)
     hi = np.ones(n_segments)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
+    w = hi - lo
+    x1 = hi - _INVPHI * w
+    x2 = lo + _INVPHI * w
     f1 = risk_fn(x1)
     f2 = risk_fn(x2)
-    while float(np.max(hi - lo)) > tol:
+    while w.max() > tol:
         left = f1 <= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
+        np.copyto(hi, x2, where=left)
+        np.copyto(lo, x1, where=~left)
+        w = hi - lo
+        x1 = hi - _INVPHI * w
+        x2 = lo + _INVPHI * w
         vals = risk_fn(np.where(left, x1, x2))
         f1, f2 = np.where(left, vals, f2), np.where(left, f1, vals)
     lam = 0.5 * (lo + hi)
@@ -127,6 +129,33 @@ def _golden_batch(risk_fn, n_segments: int, tol: float = GOLDEN_TOL):
     best = np.argmin(risks, axis=0)
     take = np.arange(n_segments)
     return candidates[best, take], risks[best, take]
+
+
+def _segment_risks(model: LossModel, a: np.ndarray, preds: np.ndarray, target):
+    """risk_fn for _golden_batch: lams -> mean loss of lams[i] * a + (1 - lams[i]) * preds[i].
+
+    The operations of eval_loss(model, mix, target).mean(axis=1) on two
+    preallocated buffers, without its domain checks and likelihood clip:
+    callers check a, preds and target once, and a mix of two in-domain
+    points stays in their hull.
+    """
+    mix = np.empty(preds.shape)
+    rest = np.empty(preds.shape)
+    n = preds.shape[1]
+
+    def risk_fn(lams):
+        np.multiply(lams[:, None], a, out=mix)
+        np.multiply(1.0 - lams[:, None], preds, out=rest)
+        np.add(mix, rest, out=mix)
+        if model.is_likelihood:
+            np.log(mix, out=mix)
+            return -mix.sum(axis=1) / n
+        np.subtract(mix, target, out=mix)
+        np.abs(mix, out=mix)
+        np.power(mix, model.p, out=mix)
+        return mix.sum(axis=1) / n
+
+    return risk_fn
 
 
 def line_search_segment(model: LossModel, preds_a, preds_b, targets=None):
@@ -144,14 +173,15 @@ def line_search_segment(model: LossModel, preds_a, preds_b, targets=None):
         raise ValueError(f"{model.kind} loss requires targets")
     else:
         t = np.asarray(targets, dtype=float)
+    model.check_pred(a)
+    model.check_pred(b)
+    model.check_target(t)
     if np.array_equal(a, b):
         return 1.0, float(np.mean(eval_loss(model, a, t)))
-
-    def risk_fn(lams):
-        mix = lams[0] * a + (1.0 - lams[0]) * b
-        return np.array([np.mean(eval_loss(model, mix, t))])
-
-    lam, risk = _golden_batch(risk_fn, 1)
+    # one segment over every (broadcast) example, in the order np.mean takes them
+    shape = a.shape if t is None else np.broadcast_shapes(a.shape, t.shape)
+    a, b, t = (None if v is None else np.broadcast_to(v, shape).ravel() for v in (a, b, t))
+    lam, risk = _golden_batch(_segment_risks(model, a, b[None, :], t), 1)
     return float(lam[0]), float(risk[0])
 
 
@@ -161,24 +191,12 @@ def _star_over_matrix(model: LossModel, preds: np.ndarray, sample: Sample):
     Returns (erm_index, erm_risk, partner_index, lam, star_preds, star_risk).
     """
     target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
+    # _risk_rows checks preds and target, so the segment search need not.
     risks = _risk_rows(model, preds, sample)
     erm_idx = int(np.argmin(risks))
     erm_risk = float(risks[erm_idx])
     a = preds[erm_idx]
-
-    if model.is_likelihood:
-        # Mixes of in-domain likelihoods stay positive; skip the wrapper checks.
-        def risk_fn(lams):
-            mix = lams[:, None] * a[None, :] + (1.0 - lams[:, None]) * preds
-            return -np.log(mix).mean(axis=1)
-
-    else:
-
-        def risk_fn(lams):
-            mix = lams[:, None] * a[None, :] + (1.0 - lams[:, None]) * preds
-            return eval_loss(model, mix, target).mean(axis=1)
-
-    lams, seg_risks = _golden_batch(risk_fn, preds.shape[0])
+    lams, seg_risks = _golden_batch(_segment_risks(model, a, preds, target), preds.shape[0])
     # The self-segment is degenerate: every mix reproduces the stage-1
     # minimizer (up to float mixing noise), so pin it exactly.
     lams[erm_idx] = 1.0

@@ -353,3 +353,27 @@ def test_non_finite_loss_flag_is_an_error(workdir, flag, value):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {flag} must be a finite number")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("trials", ["-5", "0", "1", "2"])
+def test_verify_trials_below_minimum_is_a_usage_error(trials):
+    proc = _run_cli("verify", "--suite", "all", "--trials", trials)
+    assert proc.returncode == 2
+    assert "error: --trials must be at least 3" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_verify_minimum_trials_runs(tmp_path):
+    out = tmp_path / "verify.json"
+    proc = _run_cli("verify", "--suite", "all", "--trials", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["config"]["trials"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tol_is_an_error(tmp_path, value):
+    out = tmp_path / "verify.json"
+    proc = _run_cli("verify", "--suite", "all", f"--tol={value}", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --tol must be a finite number, not {value}\n"
+    assert not out.exists() and proc.stdout == ""

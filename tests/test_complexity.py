@@ -6,6 +6,8 @@ import pytest
 
 from starloc.complexity import (
     _PAIR_CHUNK,
+    _exp_concave_coefficient,
+    _exp_concave_sups,
     constant_profile,
     entropy_eval,
     finite_empirical_profile,
@@ -16,7 +18,7 @@ from starloc.complexity import (
     parametric_profile,
     power_law_profile,
 )
-from starloc.losses import eval_loss, p_loss, square_loss
+from starloc.losses import eval_loss, log_loss, p_loss, square_loss
 from starloc.predictors import Constant, FiniteClass, Sample, Tabular
 
 
@@ -256,6 +258,56 @@ def test_batched_offset_equals_row_by_row(rng):
         assert isinstance(single[0], float)
         assert batched.shape == (5,)
         np.testing.assert_array_equal(batched, single)
+
+
+def _all_pairs_sups(model, psi_f, S):
+    """Every pair of every draw, in the _PAIR_CHUNK row blocks and operation order of the exact enumeration."""
+    size, n = psi_f.shape
+    coef = _exp_concave_coefficient(model) / n
+    ts = [psi_f @ s for s in S]
+    q = np.einsum("ij,ij->i", psi_f, psi_f)
+    best = [-math.inf] * len(S)
+    for s0 in range(0, size, _PAIR_CHUNK):
+        s1 = min(s0 + _PAIR_CHUNK, size)
+        pen = psi_f[s0:s1] @ psi_f.T
+        pen *= 2.0
+        pen = np.subtract(q[s0:s1, None] + q[None, :], pen)
+        np.maximum(pen, 0.0, out=pen)
+        pen *= coef
+        for d, t in enumerate(ts):
+            block = t[s0:s1, None] - t[None, :]
+            block *= 4.0 / n
+            block -= pen
+            block[np.arange(s1 - s0), np.arange(s0, s1)] = 0.0
+            best[d] = max(best[d], float(block.max()))
+    return np.array(best)
+
+
+@pytest.mark.parametrize("case", ["random-n13", "random-n100", "random-n256", "argmax-copies",
+                                  "identical-rows", "single-row", "log-loss"])
+def test_exp_concave_pruned_sups_equal_all_pairs(case):
+    rng = np.random.default_rng(2024)
+    n = {"random-n13": 13, "random-n100": 100}.get(case, 256)
+    model = log_loss(0.1) if case == "log-loss" else square_loss(1.0)
+    lo, hi = model.domain
+    F = rng.uniform(lo, hi, (1 if case == "single-row" else 700, n))
+    if case == "identical-rows":
+        F[:] = F[0]
+    target = None if model.is_likelihood else rng.uniform(-1.0, 1.0, n)
+    psi = eval_loss(model, F, target)
+    S = rng.choice([-1.0, 1.0], (16, n))
+    if case == "argmax-copies":
+        # 600 copies of draw 0's argmax row all tie at the top of t, so
+        # more than one block of rows survives the pruning
+        psi = np.concatenate([psi, np.repeat(psi[[np.argmax(psi @ S[0])]], 600, axis=0)])
+        t = psi @ S[0]
+        assert np.sum(t == t.max()) > _PAIR_CHUNK
+    got = _exp_concave_sups(model, psi, S)
+    np.testing.assert_array_equal(got, _all_pairs_sups(model, psi, S))
+    if case in ("identical-rows", "single-row"):
+        np.testing.assert_array_equal(got, 0.0)
+    else:
+        assert np.all(got > 0.0)
 
 
 def test_offset_signs_shape_checked():

@@ -14,7 +14,15 @@ from starloc.estimators import (
     regularized_star_glm,
     star_fit,
 )
-from starloc.losses import glm_loss, link_right_inverse, link_softmax, log_loss, square_loss
+from starloc.losses import (
+    eval_loss,
+    glm_loss,
+    link_right_inverse,
+    link_softmax,
+    log_loss,
+    p_loss,
+    square_loss,
+)
 from starloc.predictors import (
     Constant,
     FiniteClass,
@@ -139,6 +147,80 @@ def test_line_search_never_beats_endpoints(rng):
         ra = float(np.mean((a - t) ** 2))
         rb = float(np.mean((b - t) ** 2))
         assert risk <= min(ra, rb) + 1e-12
+
+
+def _reference_golden(risk_fn, n_segments, tol=1e-10):
+    """Golden section with fresh np.where arrays and hi - lo recomputed at every use."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.zeros(n_segments), np.ones(n_segments)
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = risk_fn(x1), risk_fn(x2)
+    while float(np.max(hi - lo)) > tol:
+        left = f1 <= f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        vals = risk_fn(np.where(left, x1, x2))
+        f1, f2 = np.where(left, vals, f2), np.where(left, f1, vals)
+    candidates = np.stack([0.5 * (lo + hi), np.zeros(n_segments), np.ones(n_segments)])
+    risks = np.stack([risk_fn(c) for c in candidates])
+    best, take = np.argmin(risks, axis=0), np.arange(n_segments)
+    return candidates[best, take], risks[best, take]
+
+
+def _reference_star(model, preds, target):
+    """(erm index, partner index, lam, star risk) with a checked eval_loss at every golden step."""
+    risks = eval_loss(model, preds, target).mean(axis=1)
+    erm = int(np.argmin(risks))
+    a = preds[erm]
+
+    def risk_fn(lams):
+        return eval_loss(model, lams[:, None] * a[None, :] + (1.0 - lams[:, None]) * preds, target).mean(axis=1)
+
+    lams, seg = _reference_golden(risk_fn, preds.shape[0])
+    lams[erm], seg[erm] = 1.0, risks[erm]
+    partner = int(np.argmin(seg))
+    if seg[partner] > risks[erm]:
+        return erm, erm, 1.0, float(risks[erm])
+    return erm, partner, float(lams[partner]), float(seg[partner])
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_segment_search_matches_checked_golden_section(model, rng):
+    lo, hi = model.domain
+    for members, n in ((2, 1), (7, 40), (33, 257)):
+        preds = rng.uniform(lo, hi, (members, n))
+        target = None if model.is_likelihood else rng.uniform(-1.0, 1.0, n)
+        sample = Sample(np.zeros((n, 1)), np.zeros(n) if target is None else target)
+        fit = star_fit(model, FiniteClass([Tabular(v) for v in preds]), sample)
+        assert (fit.erm_index, fit.partner_index, fit.lam, fit.star_risk) == _reference_star(model, preds, target)
+
+        a, b = preds[0], preds[-1]
+
+        def risk_fn(lams):
+            return np.array([np.mean(eval_loss(model, lams[0] * a + (1.0 - lams[0]) * b, target))])
+
+        lam, risk = _reference_golden(risk_fn, 1)
+        assert line_search_segment(model, a, b, target) == (float(lam[0]), float(risk[0]))
+
+
+@pytest.mark.parametrize("bad", [2.0, -2.0, math.nan], ids=["above", "below", "nan"])
+def test_segment_search_rejects_bad_endpoints(bad):
+    sq = square_loss(1.0)
+    good = np.array([0.1, -0.3, 0.5])
+    broken = good.copy()
+    broken[1] = bad
+    t = np.zeros(3)
+    for a, b in ((broken, good), (good, broken)):
+        with pytest.raises(ValueError):
+            line_search_segment(sq, a, b, t)
+    with pytest.raises(ValueError):
+        line_search_segment(sq, good, good[::-1], np.array([0.0, bad, 0.0]))
+    with pytest.raises(ValueError):
+        star_fit(sq, FiniteClass([Tabular(good), Tabular(broken)]), _const_sample(t))
+    lg = log_loss(0.01)
+    with pytest.raises(ValueError):
+        line_search_segment(lg, np.array([0.5, 0.2]), np.array([0.4, bad]))
 
 
 def test_star_fit_singleton():
