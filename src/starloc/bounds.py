@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import EntropyProfile, covering_radii, entropy_eval
+from .losses import bisect_root
 from .predictors import Sample
 
 __all__ = [
@@ -181,45 +182,26 @@ def _chaining_value(
 def chaining_bound(inputs: BoundInputs, sample: Sample | None = None) -> float:
     """4 alpha + (12/sqrt n) int_alpha^gamma sqrt(H2) + (36m v 72/eta) H2(gamma)/n + rho/sqrt(gamma^2 + n^2).
 
-    With alpha unset, minimizes over {0} plus a 100-point log grid in
-    [1e-8 gamma, gamma], then refines by golden section (the objective is
-    convex in alpha), so the returned value is the infimum.
+    With alpha unset, returns the infimum over alpha in [0, gamma]. The
+    alpha-derivative 4 - 12 sqrt(H2(alpha)/n) never decreases, so the
+    infimum sits at the root alpha* = inf{alpha in [0, gamma] : H2(alpha) <= n/9},
+    found by bisection on H2 (alpha* = gamma when H2(gamma) > n/9).
     """
     if inputs.gamma is None or inputs.gamma <= 0:
         raise ValueError("chaining bound requires gamma > 0")
     if inputs.m is None or inputs.eta is None or inputs.entropy is None:
         raise ValueError("chaining bound requires m, eta, and an entropy profile")
     gamma = inputs.gamma
-    if inputs.alpha is not None:
-        if inputs.alpha > gamma or inputs.alpha < 0:
-            raise ValueError("alpha must lie in [0, gamma]")
-        return _chaining_value(inputs, inputs.alpha, sample)
+    alpha = inputs.alpha
+    if alpha is None:
 
-    grid = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-8 * gamma), math.log(gamma), 100))])
-    vals = np.array([_chaining_value(inputs, float(al), sample) for al in grid])
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    if hi > lo:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1 = _chaining_value(inputs, x1, sample)
-        f2 = _chaining_value(inputs, x2, sample)
-        for _ in range(80):
-            if hi - lo <= 1e-14 * gamma:
-                break
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = _chaining_value(inputs, x1, sample)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = _chaining_value(inputs, x2, sample)
-        best_val = min(best_val, f1, f2)
-    return best_val
+        def above(a: float) -> bool:
+            return entropy_eval(inputs.entropy, a, sample) > inputs.n / 9.0
+
+        alpha = gamma if above(gamma) else bisect_root(above, 0.0, gamma)
+    elif alpha > gamma or alpha < 0:
+        raise ValueError("alpha must lie in [0, gamma]")
+    return _chaining_value(inputs, alpha, sample)
 
 
 def glm_bound(inputs: BoundInputs, k: int, d: int, A: float, B: float) -> float:

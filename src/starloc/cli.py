@@ -398,8 +398,8 @@ def cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_rate_experiment(config)
     (out_dir / "results.csv").write_text(results_csv(result), encoding="utf-8")
-    summary = _header(config.seed, summary_dict(result)["config"])
-    summary["estimators"] = summary_dict(result)["estimators"]
+    fields = summary_dict(result)
+    summary = dict(_header(config.seed, fields["config"]), estimators=fields["estimators"])
     if config.name in ("ploss_rate", "bound_vs_empirical"):
         rows = bound_vs_empirical(config, result)
         summary["bound_vs_empirical"] = [[n, q, b] for n, q, b in rows]

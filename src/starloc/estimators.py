@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel, eval_loss, glm_loss, link_softmax, row_max, row_sum
+from .losses import LossModel, bisect_root, eval_loss, glm_loss, grad_loss, link_softmax, row_max, row_sum
 from .predictors import (
     FiniteClass,
     Linear,
@@ -240,8 +240,6 @@ def _stationary_lambda(model: LossModel, a, b, target) -> float:
     risk comparisons near the optimum are float noise; margin checks at
     1e-8 need genuine stationarity, and the derivative is exact.
     """
-    from .losses import grad_loss
-
     diff = a - b
     if np.array_equal(a, b):
         return 1.0
@@ -254,14 +252,7 @@ def _stationary_lambda(model: LossModel, a, b, target) -> float:
         return 0.0
     if deriv(1.0) <= 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(lambda lam: deriv(lam) < 0.0, 0.0, 1.0)
 
 
 def erm_segment(model: LossModel, seg: SegmentClass, sample: Sample):

@@ -35,6 +35,7 @@ __all__ = [
     "regularize_probs",
     "row_max",
     "row_sum",
+    "bisect_root",
     "link_softmax",
     "link_right_inverse",
     "sandwich_threshold",
@@ -103,8 +104,11 @@ class LossModel:
         lo, hi = self.domain
         if not np.all(np.isfinite(pred)):
             raise ValueError(f"{self.kind} loss: non-finite prediction")
+        # A passing check holds one boolean temporary at a time; the value
+        # at fault is located only on failure.
         if np.any(pred < lo - _DOMAIN_SLACK) or np.any(pred > hi + _DOMAIN_SLACK):
-            bad = float(pred.flat[int(np.argmax((pred < lo) | (pred > hi)))])
+            outside = (pred < lo - _DOMAIN_SLACK) | (pred > hi + _DOMAIN_SLACK)
+            bad = float(pred.flat[int(np.argmax(outside))])
             raise ValueError(
                 f"{self.kind} loss: prediction {bad} outside domain [{lo}, {hi}]"
             )
@@ -405,6 +409,22 @@ def row_sum(a):
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
+
+
+def bisect_root(below, lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi] after 80 halvings toward where below turns False.
+
+    below(x) must be True left of the root and False right of it. The
+    bracket shrinks by a factor 2^80, so for 0 <= lo < hi it ends narrower
+    than the float spacing at hi.
+    """
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def link_softmax(scores):

@@ -16,6 +16,7 @@ from starloc.bounds import (
 )
 from starloc.complexity import (
     constant_profile,
+    covering_radii,
     entropy_eval,
     finite_empirical_profile,
     parametric_profile,
@@ -126,18 +127,27 @@ def test_chaining_monotone_in_n():
 
 
 def test_chaining_infimum_beats_random_alphas(rng):
-    profiles = [
-        power_law_profile(1.0, 1.0),
-        power_law_profile(0.5, 1.5),
-        parametric_profile(2, 2, 1.0, 3.0),
-        constant_profile(4.0, star_hull_correction=True),
+    # Stepped H2 of 15 x 6 vectors: at n = 18, n/9 = 2 lies between ln 7 and
+    # ln 8, so the infimum sits on a covering radius. Every profile is also
+    # pinned at the radii where the cover count steps.
+    stepped = finite_empirical_profile(vectors=np.random.default_rng(5).standard_normal((15, 6)) * 0.3)
+    radii = covering_radii(stepped, 1e-9)[:-1]
+    cases = [
+        (power_law_profile(1.0, 1.0), 2000),
+        (power_law_profile(0.5, 1.5), 2000),
+        (parametric_profile(2, 2, 1.0, 3.0), 2000),
+        (constant_profile(4.0, star_hull_correction=True), 2000),
+        (stepped, 18),
+        # H2 = 4 > n/9 on all of [0, gamma]: the infimum sits at gamma
+        (constant_profile(4.0), 18),
+        # the star-hull-corrected parametric shape the benchmark bounds
+        (parametric_profile(2, 2, 1.0, 3.0, star_hull_correction=True), 1024),
     ]
-    for prof in profiles:
-        free = BoundInputs(n=2000, rho=0.3, m=2.0, eta=0.5, gamma=1.0, entropy=prof)
+    for prof, n in cases:
+        free = BoundInputs(n=n, rho=0.3, m=2.0, eta=0.5, gamma=1.0, entropy=prof)
         inf_val = chaining_bound(free)
-        for _ in range(20):
-            alpha = float(rng.uniform(0.0, 1.0))
-            pinned = BoundInputs(n=2000, rho=0.3, m=2.0, eta=0.5, alpha=alpha, gamma=1.0, entropy=prof)
+        for alpha in np.concatenate([rng.uniform(0.0, 1.0, 20), radii]):
+            pinned = BoundInputs(n=n, rho=0.3, m=2.0, eta=0.5, alpha=float(alpha), gamma=1.0, entropy=prof)
             assert inf_val <= chaining_bound(pinned) + 1e-9 * (1 + abs(inf_val))
 
 

@@ -46,6 +46,14 @@ def test_eval_loss_rejects_out_of_domain():
         eval_loss(sq, 0.5, 2.0)  # target outside [-B, B]
 
 
+def test_check_pred_names_the_value_outside_the_slack():
+    # -1 - 5e-13 lies inside the 1e-12 slack, so -3.0 is the value at fault
+    with pytest.raises(ValueError, match=r"prediction -3\.0 outside domain"):
+        square_loss(1.0).check_pred([-1 - 5e-13, -3.0])
+    with pytest.raises(ValueError, match=r"prediction 0\.01 outside domain"):
+        log_loss(0.1).check_pred([0.1 - 5e-13, 0.5, 0.01])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_check_target_rejects_non_finite(bad):
     for model in (square_loss(1.0), p_loss(3.0, 1.0)):
