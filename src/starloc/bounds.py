@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import EntropyProfile, covering_radii, entropy_eval
+from .complexity import EntropyProfile, entropy_eval
 from .losses import bisect_root
-from .predictors import Sample
 
 __all__ = [
     "BoundInputs",
@@ -58,13 +57,13 @@ def _range_constant(m: float, eta: float) -> float:
     return max(36.0 * m, 72.0 / eta)
 
 
-def packing_bound(inputs: BoundInputs, sample: Sample | None = None) -> float:
+def packing_bound(inputs: BoundInputs) -> float:
     """eps + (36 m v 72/eta) (H2(eps) + ln(1/rho)) / n."""
     if inputs.eps is None or inputs.eps <= 0:
         raise ValueError("packing bound requires eps > 0")
     if inputs.m is None or inputs.eta is None or inputs.entropy is None:
         raise ValueError("packing bound requires m, eta, and an entropy profile")
-    h = entropy_eval(inputs.entropy, inputs.eps, sample)
+    h = entropy_eval(inputs.entropy, inputs.eps)
     return inputs.eps + _range_constant(inputs.m, inputs.eta) * (
         h + math.log(1.0 / inputs.rho)
     ) / inputs.n
@@ -90,9 +89,7 @@ def _adaptive(f, grid_builder) -> float:
     return prev
 
 
-def entropy_integral(
-    profile: EntropyProfile, a: float, b: float, sample: Sample | None = None
-) -> float:
+def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
     """int_a^b sqrt(H2(s)) ds by adaptive trapezoid on a log-spaced grid.
 
     Pure power-law profiles use the exact closed form, and finite_empirical
@@ -118,7 +115,7 @@ def entropy_integral(
         return Aq * (b**e - (a**e if a > 0 else 0.0)) / e
 
     def sqrt_h(s: np.ndarray) -> np.ndarray:
-        return np.sqrt(entropy_eval(profile, s, sample))
+        return np.sqrt(entropy_eval(profile, s))
 
     if a == 0.0 and profile.variant == "power_law":
         # star-hull-corrected power law: substitute s = b t^r, r = 2/(2-q),
@@ -146,8 +143,7 @@ def entropy_integral(
         # The cover count is a step function that jumps at the covering
         # radii, and the star-hull term has a kink at s = 1. Between these
         # cuts the integrand is smooth.
-        radii = covering_radii(profile, lo, sample)
-        cuts = np.unique(np.concatenate([cuts, radii, [1.0]]))
+        cuts = np.unique(np.concatenate([cuts, profile.radii, [1.0]]))
         cuts = cuts[(cuts >= lo) & (cuts <= b)]
 
     def grid(p: int) -> np.ndarray:
@@ -163,14 +159,12 @@ def entropy_integral(
     return _adaptive(sqrt_h, grid)
 
 
-def _chaining_value(
-    inputs: BoundInputs, alpha: float, sample: Sample | None
-) -> float:
+def _chaining_value(inputs: BoundInputs, alpha: float) -> float:
     gamma = inputs.gamma
-    integral = entropy_integral(inputs.entropy, alpha, gamma, sample)
+    integral = entropy_integral(inputs.entropy, alpha, gamma)
     if not math.isfinite(integral):
         return math.inf
-    h_gamma = entropy_eval(inputs.entropy, gamma, sample)
+    h_gamma = entropy_eval(inputs.entropy, gamma)
     return (
         4.0 * alpha
         + 12.0 / math.sqrt(inputs.n) * integral
@@ -179,7 +173,7 @@ def _chaining_value(
     )
 
 
-def chaining_bound(inputs: BoundInputs, sample: Sample | None = None) -> float:
+def chaining_bound(inputs: BoundInputs) -> float:
     """4 alpha + (12/sqrt n) int_alpha^gamma sqrt(H2) + (36m v 72/eta) H2(gamma)/n + rho/sqrt(gamma^2 + n^2).
 
     With alpha unset, returns the infimum over alpha in [0, gamma]. The
@@ -196,12 +190,12 @@ def chaining_bound(inputs: BoundInputs, sample: Sample | None = None) -> float:
     if alpha is None:
 
         def above(a: float) -> bool:
-            return entropy_eval(inputs.entropy, a, sample) > inputs.n / 9.0
+            return entropy_eval(inputs.entropy, a) > inputs.n / 9.0
 
         alpha = gamma if above(gamma) else bisect_root(above, 0.0, gamma)
     elif alpha > gamma or alpha < 0:
         raise ValueError("alpha must lie in [0, gamma]")
-    return _chaining_value(inputs, alpha, sample)
+    return _chaining_value(inputs, alpha)
 
 
 def glm_bound(inputs: BoundInputs, k: int, d: int, A: float, B: float) -> float:

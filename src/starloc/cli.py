@@ -212,8 +212,10 @@ def _entropy_from_spec(obj) -> EntropyProfile:
     if not isinstance(obj, dict):
         raise CliError(f"entropy spec must be a JSON object, not {type(obj).__name__}")
     variant = obj.get("variant")
-    corr = bool(obj.get("star_hull_correction", False))
     where = f"{variant} entropy spec"
+    corr = obj.get("star_hull_correction", False)
+    if not isinstance(corr, bool):
+        raise CliError(f"{where}: 'star_hull_correction' must be true or false, not {corr!r}")
     if variant == "constant":
         return constant_profile(float(_real(obj, "value", where)), corr)
     if variant == "parametric":
@@ -222,9 +224,10 @@ def _entropy_from_spec(obj) -> EntropyProfile:
     if variant == "power_law":
         return power_law_profile(float(_real(obj, "A", where)), float(_real(obj, "q", where)), corr)
     if variant == "finite_empirical":
-        if "vectors" not in obj:
-            raise CliError("finite_empirical entropy spec requires inline 'vectors'")
-        return finite_empirical_profile(vectors=np.asarray(obj["vectors"], dtype=float), star_hull_correction=corr)
+        try:
+            return finite_empirical_profile(obj.get("vectors"), corr)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{where}: 'vectors' must be a nonempty 2-D array of finite numbers") from exc
     raise CliError(f"unknown entropy variant {variant!r}")
 
 

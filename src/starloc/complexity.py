@@ -23,7 +23,6 @@ __all__ = [
     "greedy_cover_indices",
     "entropy_eval",
     "finite_empirical_profile",
-    "covering_radii",
     "parametric_profile",
     "power_law_profile",
     "constant_profile",
@@ -266,13 +265,14 @@ def greedy_cover_indices(
 class EntropyProfile:
     """Log covering number H2(eps) in one of four parameterizations.
 
-    star_hull_correction adds ln(1/eps) for eps < 1, the cost of passing
-    from a class to its mixture enlargement.
+    A finite_empirical profile holds the covering radii of one full
+    farthest-point traversal of its vectors; its cover count at eps is
+    1 + #(radii[:-1] > eps). star_hull_correction adds ln(1/eps) for
+    eps < 1, the cost of passing from a class to its mixture enlargement.
     """
 
     variant: str  # 'finite_empirical' | 'parametric' | 'power_law' | 'constant'
-    vectors: np.ndarray | None = None
-    cls: FiniteClass | None = None
+    radii: np.ndarray | None = None
     k: int | None = None
     d: int | None = None
     A: float | None = None
@@ -282,19 +282,13 @@ class EntropyProfile:
     star_hull_correction: bool = False
 
 
-def finite_empirical_profile(
-    cls: FiniteClass | None = None,
-    vectors: np.ndarray | None = None,
-    star_hull_correction: bool = False,
-) -> EntropyProfile:
-    if cls is None and vectors is None:
-        raise ValueError("finite empirical profile needs a class or vectors")
-    return EntropyProfile(
-        "finite_empirical",
-        vectors=None if vectors is None else np.atleast_2d(np.asarray(vectors, float)),
-        cls=cls,
-        star_hull_correction=star_hull_correction,
-    )
+def finite_empirical_profile(vectors: np.ndarray, star_hull_correction: bool = False) -> EntropyProfile:
+    """H2 of a finite set of vectors (one per row) in L2(P_n)."""
+    V = np.asarray(vectors, dtype=float)
+    if V.ndim != 2 or V.size == 0 or not np.isfinite(V).all():
+        raise ValueError("finite_empirical vectors must form a nonempty, finite 2-D array")
+    radii = greedy_cover_indices(V, 0.0, return_radii=True)[1]
+    return EntropyProfile("finite_empirical", radii=radii, star_hull_correction=star_hull_correction)
 
 
 def parametric_profile(k: int, d: int, A: float, B: float, star_hull_correction: bool = False) -> EntropyProfile:
@@ -309,40 +303,19 @@ def constant_profile(value: float, star_hull_correction: bool = False) -> Entrop
     return EntropyProfile("constant", value=value, star_hull_correction=star_hull_correction)
 
 
-def covering_radii(
-    profile: EntropyProfile, eps: float, sample: Sample | None = None
-) -> np.ndarray:
-    """Covering radii of a finite_empirical profile's traversal, down to eps.
-
-    The profile's cover count at radius s is 1 + #(radii[:-1] > s), so it
-    changes only at these radii.
-    """
-    if profile.vectors is not None:
-        V = profile.vectors
-    elif sample is None:
-        raise ValueError("finite_empirical entropy requires a sample")
-    else:
-        V = profile.cls.prediction_matrix(sample)
-    return greedy_cover_indices(V, eps, return_radii=True)[1]
-
-
-def entropy_eval(
-    profile: EntropyProfile, eps: float | np.ndarray, sample: Sample | None = None
-) -> float | np.ndarray:
+def entropy_eval(profile: EntropyProfile, eps: float | np.ndarray) -> float | np.ndarray:
     """Evaluate H2(eps) for a profile; nonincreasing in eps by construction.
 
     eps is a positive scalar (returns a float) or an array of radii (returns
-    an array of the same shape). A finite_empirical profile answers a whole
-    array from one farthest-point traversal down to min(eps).
+    an array of the same shape).
     """
     e = np.asarray(eps, dtype=float)
     if not np.all(e > 0):
         raise ValueError("eps must be positive")
     if profile.variant == "finite_empirical":
-        radii = covering_radii(profile, e.min(initial=np.inf), sample)
-        # radii is nonincreasing and radii[-1] <= min(eps): the cover at eps
-        # is the first 1 + #(radii[:-1] > eps) centers
-        h = np.log(1 + np.searchsorted(-radii[:-1], -e, side="left"))
+        # radii is nonincreasing: the cover at eps is the first
+        # 1 + #(radii[:-1] > eps) centers
+        h = np.log(1 + np.searchsorted(-profile.radii[:-1], -e, side="left"))
     elif profile.variant == "parametric":
         h = np.maximum(profile.k * profile.d * np.log(profile.A * profile.B / e), 0.0)
     elif profile.variant == "power_law":

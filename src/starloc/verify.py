@@ -7,6 +7,8 @@ Lipschitz, gradients, link round trip, modulus/metric axioms).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import margins as mg
@@ -59,45 +61,44 @@ def _log_gap_identity(trials: int, seed: int) -> MarginCheckReport:
     return mg._report("log_gap_identity", -err, mg.IDENTITY_TOL)
 
 
-def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
-    """Star margins over random finite constant classes until ~trials member checks."""
-    rng = seeded_rng(seed, 13)
-    lo, hi = model.domain
+def _pooled_margin(name, trials, tol, draw) -> MarginCheckReport:
+    """Pool draw()'s margin reports until they cover at least trials member checks."""
     done = 0
     worst = np.inf
     violations = 0
     while done < trials:
-        m = int(rng.integers(2, 33))
-        n = int(rng.integers(8, 129))
-        if model.is_likelihood:
-            cls = FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)])
-            sample = Sample(np.zeros((n, 1)), np.zeros(n))
-        else:
-            cls = FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)])
-            sample = Sample(np.zeros((n, 1)), rng.uniform(model.target_lo, model.target_hi, n))
-        fit = star_fit(model, cls, sample)
-        rep = mg.star_margin_check(
-            model,
-            cls.prediction_matrix(sample),
-            None if model.is_likelihood else sample.y,
-            fit.star_preds,
-            fit.star_risk,
-            tolerance=tol,
-        )
+        rep = draw()
         done += rep.trials
         violations += rep.violations
         worst = min(worst, rep.worst_slack)
-    return MarginCheckReport(f"star_margin_{model.kind}", done, violations, float(worst), tol)
+    return MarginCheckReport(name, done, violations, float(worst), tol)
+
+
+def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
+    """Star margins over random finite constant classes until ~trials member checks."""
+    rng = seeded_rng(seed, 13)
+    lo, hi = model.domain
+
+    def draw():
+        m = int(rng.integers(2, 33))
+        n = int(rng.integers(8, 129))
+        cls = FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)])
+        targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
+        sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
+        fit = star_fit(model, cls, sample)
+        return mg.star_margin_check(
+            model, cls.prediction_matrix(sample), targets, fit.star_preds, fit.star_risk, tolerance=tol
+        )
+
+    return _pooled_margin(f"star_margin_{model.kind}", trials, tol, draw)
 
 
 def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
     """ERM margins over random segment classes; ERM = continuous segment minimizer."""
     rng = seeded_rng(seed, 17)
     lo, hi = model.domain
-    done = 0
-    worst = np.inf
-    violations = 0
-    while done < trials:
+
+    def draw():
         n = int(rng.integers(8, 65))
         a = rng.uniform(lo, hi, n)
         b = rng.uniform(lo, hi, n)
@@ -105,11 +106,9 @@ def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
         targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
         sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
         preds, risk, _ = erm_segment(model, seg, sample)
-        rep = mg.erm_margin_check(model, seg.materialize(), targets, preds, risk, tolerance=tol)
-        done += rep.trials
-        violations += rep.violations
-        worst = min(worst, rep.worst_slack)
-    return MarginCheckReport(f"erm_margin_{model.kind}", done, violations, float(worst), tol)
+        return mg.erm_margin_check(model, seg.materialize(), targets, preds, risk, tolerance=tol)
+
+    return _pooled_margin(f"erm_margin_{model.kind}", trials, tol, draw)
 
 
 def margin_reports(trials: int = 10_000, grid: int = 100, seed: int = 0, tol: float = 1e-8):
@@ -127,9 +126,7 @@ def margin_reports(trials: int = 10_000, grid: int = 100, seed: int = 0, tol: fl
     # restricted-domain log modulus at several floors
     for d in (0.5, 0.1, 0.01):
         rep = mg.certify_mu_d_convexity(log_loss(d), grid_size=grid, seed=seed, tolerance=tol)
-        reports.append(
-            MarginCheckReport(f"log_restricted_modulus_d={d:g}", rep.trials, rep.violations, rep.worst_slack, tol)
-        )
+        reports.append(replace(rep, inequality_id=f"log_restricted_modulus_d={d:g}"))
     for model in (models["log"], models["glm"]):
         reports.append(mg.self_concordant_gap_check(model, trials=trials, seed=seed, tolerance=tol))
         reports.append(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import starloc.bounds as bounds_module
+import starloc.complexity as complexity_module
 from starloc.bounds import (
     _QUAD_MAX,
     _QUAD_START,
@@ -16,7 +17,6 @@ from starloc.bounds import (
 )
 from starloc.complexity import (
     constant_profile,
-    covering_radii,
     entropy_eval,
     finite_empirical_profile,
     parametric_profile,
@@ -73,9 +73,9 @@ def test_entropy_integral_finite_empirical_converges(monkeypatch, star_hull):
     prof = finite_empirical_profile(vectors=V, star_hull_correction=star_hull)
     grids = []
 
-    def recording(profile, eps, sample=None):
+    def recording(profile, eps):
         grids.append(np.size(eps))
-        return entropy_eval(profile, eps, sample)
+        return entropy_eval(profile, eps)
 
     monkeypatch.setattr(bounds_module, "entropy_eval", recording)
     got = entropy_integral(prof, 0.05, 1.0)
@@ -131,7 +131,7 @@ def test_chaining_infimum_beats_random_alphas(rng):
     # ln 8, so the infimum sits on a covering radius. Every profile is also
     # pinned at the radii where the cover count steps.
     stepped = finite_empirical_profile(vectors=np.random.default_rng(5).standard_normal((15, 6)) * 0.3)
-    radii = covering_radii(stepped, 1e-9)[:-1]
+    radii = stepped.radii[:-1]
     cases = [
         (power_law_profile(1.0, 1.0), 2000),
         (power_law_profile(0.5, 1.5), 2000),
@@ -149,6 +149,29 @@ def test_chaining_infimum_beats_random_alphas(rng):
         for alpha in np.concatenate([rng.uniform(0.0, 1.0, 20), radii]):
             pinned = BoundInputs(n=n, rho=0.3, m=2.0, eta=0.5, alpha=float(alpha), gamma=1.0, entropy=prof)
             assert inf_val <= chaining_bound(pinned) + 1e-9 * (1 + abs(inf_val))
+
+
+def test_finite_empirical_bounds_reuse_the_profile_traversal(monkeypatch):
+    # The profile runs the one farthest-point traversal; bounds read its radii.
+    calls = []
+    greedy = complexity_module.greedy_cover_indices
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return greedy(*args, **kwargs)
+
+    monkeypatch.setattr(complexity_module, "greedy_cover_indices", counting)
+    V = np.random.default_rng(3).standard_normal((40, 8)) * np.geomspace(0.01, 1.0, 40)[:, None]
+    for corr in (False, True):
+        prof = finite_empirical_profile(vectors=V, star_hull_correction=corr)
+        assert calls == [0.0]
+        # H2 crosses n/9 = 2 inside (0, gamma), so the free alpha is a bisection
+        assert entropy_eval(prof, 1.0) <= 2.0 < entropy_eval(prof, 1e-9)
+        chaining_bound(BoundInputs(n=18, rho=0.1, m=2.0, eta=0.5, gamma=1.0, entropy=prof))
+        packing_bound(BoundInputs(n=18, rho=0.1, m=2.0, eta=0.5, eps=0.05, entropy=prof))
+        entropy_integral(prof, 0.0, 1.0)
+        assert calls == [0.0]
+        calls.clear()
 
 
 def test_chaining_rejects_bad_alpha():

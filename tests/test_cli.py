@@ -300,6 +300,49 @@ def test_bound_divergent_value_is_an_error(workdir, capsys):
     assert err.startswith("error:") and "diverges" in err
 
 
+def _bound_entropy(workdir, kind, entropy):
+    params = workdir / "p.json"
+    params.write_text(json.dumps({"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
+                                  "entropy": entropy}))
+    out = workdir / "b.json"
+    return main(["bound", "--kind", kind, "--params", str(params), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("kind", ["packing", "chaining"])
+@pytest.mark.parametrize("vectors", [
+    [], [[]], 5, [0.1, 0.2], [[0.1, float("nan")]], [[0.1], [float("inf")]], [[0.1, 0.2], [0.3]], {"a": 1}, None,
+], ids=["empty", "empty-row", "scalar", "one-d", "nan", "inf", "ragged", "object", "null"])
+def test_bound_malformed_vectors_is_an_error(workdir, capsys, kind, vectors):
+    rc, out = _bound_entropy(workdir, kind, {"variant": "finite_empirical", "vectors": vectors})
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: finite_empirical entropy spec: 'vectors' must be a nonempty 2-D array of finite numbers\n"
+
+
+@pytest.mark.parametrize("flag", ["false", "no", 1, 0, None, [True]])
+def test_bound_star_hull_correction_must_be_boolean(workdir, capsys, flag):
+    rc, out = _bound_entropy(workdir, "packing", {"variant": "constant", "value": 1.0, "star_hull_correction": flag})
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: constant entropy spec: 'star_hull_correction' must be true or false, not {flag!r}\n"
+    )
+
+
+def test_bound_star_hull_correction_true_false_or_absent(workdir):
+    values = {}
+    for flag in (True, False, "absent"):
+        entropy = {"variant": "constant", "value": 1.0}
+        if flag != "absent":
+            entropy["star_hull_correction"] = flag
+        rc, out = _bound_entropy(workdir, "packing", entropy)
+        assert rc == 0
+        values[flag] = json.loads(out.read_text())["value"]
+    # eps = 0.1 < 1, so the correction adds ln(1/eps) to H2
+    assert values[False] == values["absent"] < values[True]
+
+
 def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "starloc", *argv],

@@ -198,9 +198,15 @@ def test_entropy_eval_variants(rng):
     assert entropy_eval(cp, 0.5) == pytest.approx(10.0 + math.log(2.0))
     assert entropy_eval(cp, 2.0) == 10.0  # no correction above eps = 1
     with pytest.raises(ValueError):
-        entropy_eval(finite_empirical_profile(cls=FiniteClass([Constant(0.1)])), 0.5)
-    with pytest.raises(ValueError):
         entropy_eval(par, 0.0)
+
+
+@pytest.mark.parametrize("vectors", [
+    [], [[]], 5.0, [0.1, 0.2], [[[0.1]]], [[0.1, np.nan]], [[0.1], [np.inf]], [[0.1, 0.2], [0.3]],
+], ids=["empty", "empty-row", "scalar", "one-d", "three-d", "nan", "inf", "ragged"])
+def test_finite_empirical_profile_rejects_malformed_vectors(vectors):
+    with pytest.raises(ValueError):
+        finite_empirical_profile(vectors=vectors)
 
 
 def test_entropy_nonincreasing(rng):
@@ -318,10 +324,13 @@ def test_offset_signs_shape_checked():
             offset_sup_one_draw(square_loss(1.0), F, None, sample, bad, "exp_concave")
 
 
-def _loop_entropy(prof, eps):
-    """Per-point H2(eps) in plain float arithmetic, the reference for the array path."""
+def _loop_entropy(prof, V, eps):
+    """Per-point H2(eps) in plain float arithmetic, the reference for the array path.
+
+    V is the finite_empirical profile's vectors.
+    """
     if prof.variant == "finite_empirical":
-        h = math.log(len(greedy_cover_indices(prof.vectors, eps)))
+        h = math.log(len(greedy_cover_indices(V, eps)))
     elif prof.variant == "parametric":
         h = max(prof.k * prof.d * math.log(prof.A * prof.B / eps), 0.0)
     elif prof.variant == "power_law":
@@ -351,7 +360,7 @@ def test_entropy_eval_array_matches_scalar(rng):
             scalar = [entropy_eval(prof, float(e)) for e in eps]
             assert all(isinstance(h, float) for h in scalar)
             np.testing.assert_allclose(got, scalar, rtol=1e-13, atol=0.0)
-            loop = [_loop_entropy(prof, float(e)) for e in eps]
+            loop = [_loop_entropy(prof, V, float(e)) for e in eps]
             np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0.0)
             grid = entropy_eval(prof, eps.reshape(4, 15))
             np.testing.assert_array_equal(grid, got.reshape(4, 15))
