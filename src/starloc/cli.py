@@ -380,6 +380,8 @@ def cmd_experiment(args) -> int:
         cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse config {args.config}: {exc}") from exc
+    if not isinstance(cfg_obj, dict):
+        raise CliError(f"experiment config {args.config} must be a JSON object")
     cfg_obj["name"] = args.name or cfg_obj.get("name")
     if cfg_obj.get("name") not in EXPERIMENT_NAMES:
         raise CliError(f"unknown experiment name {cfg_obj.get('name')!r}")

@@ -3,7 +3,9 @@
 The star fit minimizes empirical risk over the class, then over the union
 of segments from that minimizer to every class member. Segments are
 searched by golden section (the risk is convex along a segment whenever
-the loss is convex in its prediction argument).
+the loss is convex in its prediction argument). star_fit also takes
+equal-length lists of classes and samples and searches every problem's
+segments in one lockstep golden section.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _SIMPLEX_ROUNDS = 100
 _POLISH_STEPS = 25
 _REFINE_ROUNDS = 3
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Padded blocks of a batched star fit; problems are sorted by size into them.
+_BLOCKS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +135,21 @@ def _golden_batch(risk_fn, n_segments: int, tol: float = GOLDEN_TOL):
     return candidates[best, take], risks[best, take]
 
 
-def _segment_risks(model: LossModel, a: np.ndarray, preds: np.ndarray, target):
-    """risk_fn for _golden_batch: lams -> mean loss of lams[i] * a + (1 - lams[i]) * preds[i].
+def _segment_risks(model: LossModel, a: np.ndarray, preds: np.ndarray, target, n, scratch=None):
+    """risk_fn for _golden_batch: lams -> mean loss of lams[i] * a[i] + (1 - lams[i]) * preds[i].
 
-    The operations of eval_loss(model, mix, target).mean(axis=1) on two
-    preallocated buffers, without its domain checks and likelihood clip:
-    callers check a, preds and target once, and a mix of two in-domain
-    points stays in their hull.
+    a and target are one (n,) row shared by every segment or one row per
+    segment, and n is the example count, shared or per segment. The
+    operations of eval_loss(model, mix, target).mean(axis=1) on two
+    buffers (the first 2 * preds.size entries of scratch, if given),
+    without its domain checks and likelihood clip: callers check a, preds
+    and target once, and a mix of two in-domain points stays in their hull.
     """
-    mix = np.empty(preds.shape)
-    rest = np.empty(preds.shape)
-    n = preds.shape[1]
+    if scratch is None:
+        mix, rest = np.empty(preds.shape), np.empty(preds.shape)
+    else:
+        mix = scratch[: preds.size].reshape(preds.shape)
+        rest = scratch[preds.size : 2 * preds.size].reshape(preds.shape)
 
     def risk_fn(lams):
         np.multiply(lams[:, None], a, out=mix)
@@ -181,56 +189,118 @@ def line_search_segment(model: LossModel, preds_a, preds_b, targets=None):
     # one segment over every (broadcast) example, in the order np.mean takes them
     shape = a.shape if t is None else np.broadcast_shapes(a.shape, t.shape)
     a, b, t = (None if v is None else np.broadcast_to(v, shape).ravel() for v in (a, b, t))
-    lam, risk = _golden_batch(_segment_risks(model, a, b[None, :], t), 1)
+    lam, risk = _golden_batch(_segment_risks(model, a, b[None, :], t, a.size), 1)
     return float(lam[0]), float(risk[0])
 
 
-def _star_over_matrix(model: LossModel, preds: np.ndarray, sample: Sample):
-    """Two-stage minimization over the rows of a prediction matrix.
+def _stacked_segment_risks(model: LossModel, preds: list, targets: list, erm_rows: list):
+    """risk_fn over the segments of several problems, rows in problem order.
 
-    Returns (erm_index, erm_risk, partner_index, lam, star_preds, star_risk).
+    Problems are sorted by example count and split into _BLOCKS blocks, so
+    little of each is padding. A block stacks its problems' prediction rows
+    into one (S, L) matrix, beside per-row copies of each problem's ERM row
+    and target and its example count. Padding entries have zero loss:
+    prediction = target = 0 for a p-loss, likelihood 1 for the log loss
+    (lam + fl(1 - lam) rounds to 1 for every lam in [0, 1]).
     """
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-    # _risk_rows checks preds and target, so the segment search need not.
-    risks = _risk_rows(model, preds, sample)
-    erm_idx = int(np.argmin(risks))
-    erm_risk = float(risks[erm_idx])
-    a = preds[erm_idx]
-    lams, seg_risks = _golden_batch(_segment_risks(model, a, preds, target), preds.shape[0])
-    # The self-segment is degenerate: every mix reproduces the stage-1
-    # minimizer (up to float mixing noise), so pin it exactly.
-    lams[erm_idx] = 1.0
-    seg_risks[erm_idx] = erm_risk
-    partner_idx = int(np.argmin(seg_risks))
-    star_risk = float(seg_risks[partner_idx])
-    lam = float(lams[partner_idx])
-    if star_risk > erm_risk:
-        partner_idx, lam, star_risk = erm_idx, 1.0, erm_risk
-    star_preds = lam * a + (1.0 - lam) * preds[partner_idx]
-    return erm_idx, erm_risk, partner_idx, lam, star_preds, star_risk
+    pad = 1.0 if model.is_likelihood else 0.0
+    starts = np.cumsum([0] + [p.shape[0] for p in preds])
+    order = np.argsort([p.shape[1] for p in preds], kind="stable")
+    blocks = []
+    for chunk in np.array_split(order, min(_BLOCKS, len(preds))):
+        rows = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in chunk])
+        shape = (rows.size, max(preds[j].shape[1] for j in chunk))
+        a, stack, n = np.full(shape, pad), np.full(shape, pad), np.empty(rows.size)
+        target = None if model.is_likelihood else np.zeros(shape)
+        at = 0
+        for j in chunk:
+            m, k = preds[j].shape
+            stack[at : at + m, :k] = preds[j]
+            a[at : at + m, :k] = erm_rows[j]
+            if target is not None:
+                target[at : at + m, :k] = targets[j]
+            n[at : at + m] = k
+            at += m
+        blocks.append((rows, a, stack, target, n))
+    # The blocks are evaluated one after another, so they share one scratch buffer.
+    scratch = np.empty(2 * max(block[2].size for block in blocks))
+    blocks = [(rows, _segment_risks(model, *args, scratch)) for rows, *args in blocks]
+
+    def risk_fn(lams):
+        out = np.empty(lams.shape)
+        for rows, fn in blocks:
+            out[rows] = fn(lams[rows])
+        return out
+
+    return risk_fn
 
 
-def star_fit(model: LossModel, cls: FiniteClass, sample: Sample) -> StarFit:
-    """Stage 1: ERM over the class; stage 2: best segment from the ERM."""
-    members = cls.effective_members()
-    preds = cls.prediction_matrix(sample)
-    erm_idx, erm_risk, partner_idx, lam, star_preds, star_risk = _star_over_matrix(
-        model, preds, sample
-    )
-    erm = members[erm_idx]
-    partner = members[partner_idx]
-    return StarFit(
-        erm=erm,
-        partner=partner,
-        lam=lam,
-        combined=StarMix(lam, erm, partner),
-        erm_risk=erm_risk,
-        star_risk=star_risk,
-        erm_index=erm_idx,
-        partner_index=partner_idx,
-        erm_preds=preds[erm_idx],
-        star_preds=star_preds,
-    )
+def _star_over_matrix(model: LossModel, classes: list, samples: list) -> list:
+    """Two-stage minimization over the rows of each problem's prediction matrix.
+
+    Every problem's segments run in one lockstep golden section. A single
+    problem is searched in place, its ERM row and target broadcast; several
+    are stacked by _stacked_segment_risks.
+    """
+    preds = [c.prediction_matrix(s) for c, s in zip(classes, samples)]
+    targets = [None if model.is_likelihood else np.asarray(s.y, dtype=float) for s in samples]
+    # _risk_rows checks preds and targets, so the segment search need not.
+    risks = [_risk_rows(model, p, s) for p, s in zip(preds, samples)]
+    erm_idx = [int(np.argmin(r)) for r in risks]
+    erm_rows = [p[i] for p, i in zip(preds, erm_idx)]
+    if len(preds) == 1:
+        risk_fn = _segment_risks(model, erm_rows[0], preds[0], targets[0], preds[0].shape[1])
+    else:
+        risk_fn = _stacked_segment_risks(model, preds, targets, erm_rows)
+    lams, seg_risks = _golden_batch(risk_fn, sum(p.shape[0] for p in preds))
+    fits = []
+    start = 0
+    for c, p, r, i, a in zip(classes, preds, risks, erm_idx, erm_rows):
+        block = slice(start, start + p.shape[0])
+        start = block.stop
+        erm_risk = float(r[i])
+        lam_rows, risk_rows = lams[block], seg_risks[block]
+        # The self-segment is degenerate: every mix reproduces the stage-1
+        # minimizer (up to float mixing noise), so pin it exactly.
+        lam_rows[i] = 1.0
+        risk_rows[i] = erm_risk
+        partner_idx = int(np.argmin(risk_rows))
+        star_risk = float(risk_rows[partner_idx])
+        lam = float(lam_rows[partner_idx])
+        if star_risk > erm_risk:
+            partner_idx, lam, star_risk = i, 1.0, erm_risk
+        members = c.effective_members()
+        fits.append(
+            StarFit(
+                erm=members[i],
+                partner=members[partner_idx],
+                lam=lam,
+                combined=StarMix(lam, members[i], members[partner_idx]),
+                erm_risk=erm_risk,
+                star_risk=star_risk,
+                erm_index=i,
+                partner_index=partner_idx,
+                # a copy, so a fit does not hold its class's whole prediction matrix
+                erm_preds=a.copy(),
+                star_preds=lam * a + (1.0 - lam) * p[partner_idx],
+            )
+        )
+    return fits
+
+
+def star_fit(model: LossModel, cls, sample):
+    """Stage 1: ERM over the class; stage 2: best segment from the ERM.
+
+    cls and sample may also be equal-length lists of classes and samples;
+    then every problem is fitted in one lockstep segment search and the
+    list of their StarFits is returned.
+    """
+    if isinstance(cls, FiniteClass):
+        return _star_over_matrix(model, [cls], [sample])[0]
+    classes, samples = list(cls), list(sample)
+    if len(classes) != len(samples):
+        raise ValueError(f"star_fit got {len(classes)} classes but {len(samples)} samples")
+    return _star_over_matrix(model, classes, samples) if classes else []
 
 
 def _stationary_lambda(model: LossModel, a, b, target) -> float:

@@ -42,6 +42,11 @@ EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap", "bound_vs_em
 
 _ORACLE_TAG = 777
 _DATA_TAG = 101
+# Integer config fields and their least values.
+_INT_FIELDS = {
+    "replications": 1, "seed": 0, "oracle_size": 100_000, "d": 1, "k": 2,
+    "members": 1, "n_candidates": 0, "jobs": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.name!r}")
         if any(b >= a for a, b in zip(self.n_grid[1:], self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.oracle_size < 100_000:
-            raise ValueError("oracle_size must be at least 1e5")
+        for field, least in _INT_FIELDS.items():
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{field} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{field} must be at least {least}")
 
     def delta_at(self, n: int) -> float:
         if self.delta == "1/n":
@@ -95,7 +102,10 @@ class ExperimentConfig:
         base = np.zeros((self.k, self.d))
         base[0, 0], base[0, min(1, self.d - 1)] = 1.0, 0.5
         base[1, 0], base[1, min(1, self.d - 1)] = -1.0, -0.5
-        return base
+        # The rows have norm sqrt(1.25) (0.5 for d = 1); a smaller ball
+        # gets them scaled onto its boundary.
+        norm = float(np.linalg.norm(base, axis=1).max())
+        return base * (self.B / norm) if norm > self.B else base
 
 
 @dataclass(frozen=True)

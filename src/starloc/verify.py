@@ -61,44 +61,51 @@ def _log_gap_identity(trials: int, seed: int) -> MarginCheckReport:
     return mg._report("log_gap_identity", -err, mg.IDENTITY_TOL)
 
 
-def _pooled_margin(name, trials, tol, draw) -> MarginCheckReport:
-    """Pool draw()'s margin reports until they cover at least trials member checks."""
-    done = 0
-    worst = np.inf
-    violations = 0
-    while done < trials:
-        rep = draw()
-        done += rep.trials
-        violations += rep.violations
-        worst = min(worst, rep.worst_slack)
-    return MarginCheckReport(name, done, violations, float(worst), tol)
+def _pooled_margin(name, tol, reports) -> MarginCheckReport:
+    """One report over the member checks of several margin reports."""
+    return MarginCheckReport(
+        name,
+        sum(r.trials for r in reports),
+        sum(r.violations for r in reports),
+        float(min(r.worst_slack for r in reports)),
+        tol,
+    )
 
 
 def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
-    """Star margins over random finite constant classes until ~trials member checks."""
+    """Star margins over random finite constant classes until ~trials member checks.
+
+    Every class is drawn first, then all are fitted by one batched star_fit.
+    """
     rng = seeded_rng(seed, 13)
     lo, hi = model.domain
-
-    def draw():
+    classes, samples = [], []
+    done = 0
+    while done < trials:
         m = int(rng.integers(2, 33))
         n = int(rng.integers(8, 129))
-        cls = FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)])
+        classes.append(FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)]))
         targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
-        sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
-        fit = star_fit(model, cls, sample)
-        return mg.star_margin_check(
-            model, cls.prediction_matrix(sample), targets, fit.star_preds, fit.star_risk, tolerance=tol
+        samples.append(Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets))
+        done += m
+    fits = star_fit(model, classes, samples)
+    reports = [
+        mg.star_margin_check(
+            model, c.prediction_matrix(s), None if model.is_likelihood else s.y, f.star_preds, f.star_risk,
+            tolerance=tol,
         )
-
-    return _pooled_margin(f"star_margin_{model.kind}", trials, tol, draw)
+        for c, s, f in zip(classes, samples, fits)
+    ]
+    return _pooled_margin(f"star_margin_{model.kind}", tol, reports)
 
 
 def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
     """ERM margins over random segment classes; ERM = continuous segment minimizer."""
     rng = seeded_rng(seed, 17)
     lo, hi = model.domain
-
-    def draw():
+    reports = []
+    done = 0
+    while done < trials:
         n = int(rng.integers(8, 65))
         a = rng.uniform(lo, hi, n)
         b = rng.uniform(lo, hi, n)
@@ -106,9 +113,9 @@ def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
         targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
         sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
         preds, risk, _ = erm_segment(model, seg, sample)
-        return mg.erm_margin_check(model, seg.materialize(), targets, preds, risk, tolerance=tol)
-
-    return _pooled_margin(f"erm_margin_{model.kind}", trials, tol, draw)
+        reports.append(mg.erm_margin_check(model, seg.materialize(), targets, preds, risk, tolerance=tol))
+        done += reports[-1].trials
+    return _pooled_margin(f"erm_margin_{model.kind}", tol, reports)
 
 
 def margin_reports(trials: int = 10_000, grid: int = 100, seed: int = 0, tol: float = 1e-8):

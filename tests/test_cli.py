@@ -209,6 +209,36 @@ def test_experiment_unknown_name(workdir, capsys):
     assert rc == 1
 
 
+def test_experiment_default_w_true_fits_a_small_ball(workdir):
+    # B defaults to 1, inside which the default W_true rows (norm 1.118) do not fit as given.
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000}))
+    rc = main(["experiment", "--name", "logistic_rate", "--config", str(cfg),
+               "--out-dir", str(workdir / "o")])
+    assert rc == 0
+    assert set(json.loads((workdir / "o" / "summary.json").read_text())["estimators"]) == {"erm", "star"}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"d": 0}, "d"),
+    ({"k": 1}, "k"),
+    ({"replications": 2.5}, "replications"),
+    ({"replications": True}, "replications"),
+    ({"n_candidates": -1}, "n_candidates"),
+    ([1, 2], "JSON object"),
+], ids=["d0", "k1", "float-reps", "bool-reps", "negative-candidates", "list"])
+def test_experiment_bad_config_is_an_error(workdir, capsys, config, field):
+    if isinstance(config, dict):
+        config = {"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, **config}
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["experiment", "--name", "logistic_rate", "--config", str(cfg),
+               "--out-dir", str(workdir / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_glm_csv_labels(workdir):
     glm_csv = workdir / "glm.csv"
     glm_csv.write_text("x1,x2,y\n0.5,0.1,1\n-0.2,0.3,2\n0.9,-0.4,1\n")

@@ -223,6 +223,51 @@ def test_segment_search_rejects_bad_endpoints(bad):
         line_search_segment(lg, np.array([0.5, 0.2]), np.array([0.4, bad]))
 
 
+def _star_problems(model, rng, sizes):
+    """Random tabular classes with sample sizes `sizes`, and their samples."""
+    lo, hi = model.domain
+    classes, samples = [], []
+    for n in sizes:
+        m = int(rng.integers(1, 20))
+        classes.append(FiniteClass([Tabular(v) for v in rng.uniform(lo, hi, (m, n))]))
+        target = np.zeros(n) if model.is_likelihood else rng.uniform(-1.0, 1.0, n)
+        samples.append(Sample(np.zeros((n, 1)), target))
+    return classes, samples
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_star_fit_batch_of_equal_sizes_matches_single_fits(model, rng):
+    classes, samples = _star_problems(model, rng, [40] * 6)
+    for batched, cls, sample in zip(star_fit(model, classes, samples), classes, samples):
+        single = star_fit(model, cls, sample)
+        for field in ("lam", "erm_risk", "star_risk", "erm_index", "partner_index"):
+            assert getattr(batched, field) == getattr(single, field)
+        assert np.array_equal(batched.star_preds, single.star_preds)
+        assert np.array_equal(batched.erm_preds, single.erm_preds)
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), log_loss(0.01)], ids=["square", "log"])
+def test_star_fit_ragged_batch_reports_its_predictions(model, rng):
+    sizes = [int(n) for n in rng.integers(1, 130, 25)]
+    classes, samples = _star_problems(model, rng, sizes)
+    fits = star_fit(model, classes, samples)
+    assert len(fits) == len(sizes)
+    for fit, sample in zip(fits, samples):
+        assert fit.star_preds.shape == (sample.n,)
+        assert abs(fit.star_risk - empirical_risk(model, fit.star_preds, sample)) <= 1e-12
+        assert fit.star_risk <= fit.erm_risk
+
+
+def test_star_fit_batch_needs_one_sample_per_class():
+    sq = square_loss(1.0)
+    cls = FiniteClass([Constant(0.7), Constant(-0.2)])
+    sample = _const_sample([0.5, 0.8, 0.6])
+    with pytest.raises(ValueError):
+        star_fit(sq, [cls, cls], [sample])
+    assert star_fit(sq, [], []) == []
+
+
 def test_star_fit_singleton():
     sq = square_loss(1.0)
     sample = _const_sample([0.5, 0.8, 0.6])

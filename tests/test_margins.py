@@ -20,7 +20,8 @@ from starloc.margins import (
     self_concordant_gap_check,
     star_margin_check,
 )
-from starloc.predictors import Constant, FiniteClass, Sample, SegmentClass, SimplexClass
+from starloc.predictors import Constant, FiniteClass, Sample, SegmentClass, SimplexClass, seeded_rng
+from starloc.verify import _random_finite_star_margin
 
 ALL_MODELS = [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.1), glm_loss(3, 0.1)]
 
@@ -244,3 +245,29 @@ def test_gap_dominates_modulus_property(x, y, t):
     from starloc.losses import canonical_modulus
 
     assert bregman_gap(sq, x, y, t) >= canonical_modulus(sq, x, y, t) - 1e-10
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), log_loss(0.1)], ids=["square", "log"])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_star_margin_matches_per_draw_fits(model, seed):
+    """verify's batched star margins agree with one star_fit per drawn class."""
+    rng = seeded_rng(seed, 13)
+    lo, hi = model.domain
+    trials = violations = 0
+    worst = math.inf
+    while trials < 2000:
+        m = int(rng.integers(2, 33))
+        n = int(rng.integers(8, 129))
+        cls = FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)])
+        targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
+        sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
+        fit = star_fit(model, cls, sample)
+        rep = star_margin_check(
+            model, cls.prediction_matrix(sample), targets, fit.star_preds, fit.star_risk, tolerance=1e-8
+        )
+        trials += rep.trials
+        violations += rep.violations
+        worst = min(worst, rep.worst_slack)
+    pooled = _random_finite_star_margin(model, 2000, seed, 1e-8)
+    assert (pooled.trials, pooled.violations) == (trials, violations)
+    assert abs(pooled.worst_slack - worst) <= 1e-10
