@@ -391,11 +391,9 @@ def cmd_experiment(args) -> int:
         cfg_obj["replications"] = args.reps
     if args.jobs is not None:
         cfg_obj["jobs"] = args.jobs
-    if "n_grid" in cfg_obj:
-        cfg_obj["n_grid"] = tuple(cfg_obj["n_grid"])
-    if "W_true" in cfg_obj and cfg_obj["W_true"] is not None:
-        cfg_obj["W_true"] = tuple(tuple(row) for row in cfg_obj["W_true"])
     try:
+        if cfg_obj.get("W_true") is not None:
+            cfg_obj["W_true"] = tuple(tuple(row) for row in cfg_obj["W_true"])
         config = ExperimentConfig(**cfg_obj)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid experiment config: {exc}") from exc

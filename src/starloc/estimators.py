@@ -3,18 +3,26 @@
 The star fit minimizes empirical risk over the class, then over the union
 of segments from that minimizer to every class member. Segments are
 searched by golden section (the risk is convex along a segment whenever
-the loss is convex in its prediction argument). star_fit also takes
-equal-length lists of classes and samples and searches every problem's
-segments in one lockstep golden section.
+the loss is convex in its prediction argument). Before the search, a
+screen drops every segment whose risk provably stays above the least
+risk already attained on another: the tangents of a convex risk lie
+below it, so the upper envelope of a few tangents bounds the segment's
+minimum from below. The segments left are searched exactly as they would
+be among all, so the fit is the same. star_fit also takes equal-length
+lists of classes and samples and searches every problem's segments in
+one lockstep golden section.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel, bisect_root, eval_loss, glm_loss, grad_loss, link_softmax, row_max, row_sum
+from .losses import (
+    LossModel, bisect_root, eval_loss, glm_loss, grad_loss, link_softmax, row_max, row_sum, second_deriv_loss,
+)
 from .predictors import (
     FiniteClass,
     Linear,
@@ -49,6 +57,8 @@ _REFINE_ROUNDS = 3
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # Padded blocks of a batched star fit; problems are sorted by size into them.
 _BLOCKS = 4
+# Relative rounding allowance of the segment screen's bounds.
+_SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,20 +203,24 @@ def line_search_segment(model: LossModel, preds_a, preds_b, targets=None):
     return float(lam[0]), float(risk[0])
 
 
-def _stacked_segment_risks(model: LossModel, preds: list, targets: list, erm_rows: list):
-    """risk_fn over the segments of several problems, rows in problem order.
+def _segment_blocks(model: LossModel, preds: list, targets: list, erm_rows: list):
+    """Yield (rows, a, stack, target, n) blocks holding every problem's segments; rows in problem order.
 
-    Problems are sorted by example count and split into _BLOCKS blocks, so
-    little of each is padding. A block stacks its problems' prediction rows
-    into one (S, L) matrix, beside per-row copies of each problem's ERM row
-    and target and its example count. Padding entries have zero loss:
-    prediction = target = 0 for a p-loss, likelihood 1 for the log loss
-    (lam + fl(1 - lam) rounds to 1 for every lam in [0, 1]).
+    A single problem is one block, searched in place: its ERM row and target
+    are one shared (n,) row and n is a scalar. Several problems are sorted
+    by example count and split into _BLOCKS blocks, so little of each is
+    padding. A block stacks its problems' prediction rows into one (S, L)
+    matrix, beside per-row copies of each problem's ERM row and target and
+    its example count. Padding entries have zero loss: prediction = target
+    = 0 for a p-loss, likelihood 1 for the log loss (lam + fl(1 - lam)
+    rounds to 1 for every lam in [0, 1]).
     """
+    if len(preds) == 1:
+        yield np.arange(preds[0].shape[0]), erm_rows[0], preds[0], targets[0], preds[0].shape[1]
+        return
     pad = 1.0 if model.is_likelihood else 0.0
     starts = np.cumsum([0] + [p.shape[0] for p in preds])
     order = np.argsort([p.shape[1] for p in preds], kind="stable")
-    blocks = []
     for chunk in np.array_split(order, min(_BLOCKS, len(preds))):
         rows = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in chunk])
         shape = (rows.size, max(preds[j].shape[1] for j in chunk))
@@ -221,7 +235,129 @@ def _stacked_segment_risks(model: LossModel, preds: list, targets: list, erm_row
                 target[at : at + m, :k] = targets[j]
             n[at : at + m] = k
             at += m
-        blocks.append((rows, a, stack, target, n))
+        yield rows, a, stack, target, n
+
+
+def _block_rows(block, k):
+    """Rows k of a (rows, a, stack, target, n) block; one problem's shared ERM row, target and count stay whole."""
+    rows, a, stack, target, n = block
+    if np.ndim(n) == 0:
+        return rows[k], a, stack[k], target, n
+    return rows[k], a[k], stack[k], None if target is None else target[k], n[k]
+
+
+def _tangent(model: LossModel, x, diff, target, n):
+    """Slope mean psi'(x) (a - b) of each segment's risk at the mix x, and the mean size of its terms."""
+    terms = grad_loss(model, x, target) * diff
+    slope = terms.sum(axis=1) / n
+    return slope, np.abs(terms, out=terms).sum(axis=1) / n
+
+
+def _segment_bounds(model: LossModel, block, erm_risk, risks):
+    """Per segment of a block: a lower bound on its risk over [0, 1], a risk it attains, and a rounding allowance.
+
+    erm_risk and risks are the segments' risks at lam = 1 and lam = 0. The
+    risk f along a segment is convex, so its tangents lie below it: at
+    lam = 0, at lam = 1 and, where f'(1) > 0, at two probes, the Newton
+    step from lam = 1 and twice that step (clipped to [0, 1]), which often
+    fall on either side of the minimum. Where f'(1) <= 0, lam = 1 is the
+    minimum and stands in for the probes. The lower bound is the minimum
+    over [0, 1] of the tangents' upper envelope, which lies at 0, at 1 or
+    where two tangents cross; the least probe risk is attained. The
+    allowance covers the rounding of all these sums, which grows with the
+    size of their terms.
+    """
+    _, a, preds, target, n = block
+    diff = a - preds
+    s1, size = _tangent(model, a, diff, target, n)
+    up = s1 > 0.0
+    if not up.any():
+        # lam = 1 minimizes every segment: all tie with the ERM, and none can be ruled out.
+        return np.full(s1.shape, -np.inf), np.full(s1.shape, np.inf), np.zeros(s1.shape)
+    s0, size0 = _tangent(model, preds, diff, target, n)
+    size += size0
+    # tangent lines value + slope * (lam - at); the probes start at lam = 1
+    value = np.stack([risks, erm_risk, erm_risk, erm_risk])
+    slope = np.stack([s0, s1, s1, s1])
+    at = np.ones((4, s1.size))
+    at[0] = 0.0
+    # The probes are taken on the rows where f'(1) > 0 only.
+    _, a, preds, target, n = _block_rows(block, up)
+    diff = diff[up]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curv = (second_deriv_loss(model, a, target) * diff * diff).sum(axis=1) / n
+        # fmax and fmin take a NaN step to 0; any probe in [0, 1] gives a valid tangent.
+        step = np.fmin(np.fmax(s1[up] / curv, 0.0), 1.0)
+    for j, lam in ((2, 1.0 - step), (3, np.fmax(1.0 - 2.0 * step, 0.0))):
+        mix = lam[:, None] * a
+        mix += (1.0 - lam[:, None]) * preds
+        at[j, up] = lam
+        value[j, up] = eval_loss(model, mix, target).sum(axis=1) / n
+        slope[j, up], size_probe = _tangent(model, mix, diff, target, n)
+        size[up] += size_probe
+    offset = value - slope * at
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = [(offset[j] - offset[i]) / (slope[i] - slope[j]) for i, j in itertools.combinations(range(4), 2)]
+    lams = np.stack([at[0], at[1], *cross])
+    # A crossing outside [0, 1] (or of parallel tangents) is replaced by lam = 1, already listed.
+    lams = np.where((lams >= 0.0) & (lams <= 1.0), lams, 1.0)
+    envelope = (value[:, None] + slope[:, None] * (lams[None] - at[:, None])).max(axis=0)
+    allowance = _SCREEN_TOL * (1.0 + np.abs(erm_risk) + np.abs(risks) + size)
+    return envelope.min(axis=0), value[2:].min(axis=0), allowance
+
+
+def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
+    """Drop the segments whose risk provably stays above their problem's star minimum.
+
+    A segment is searched if its lower bound (_segment_bounds) is within
+    its allowance of the least risk attained on its problem's segments (a
+    probe or the ERM itself); its problem's ERM row and every row of a
+    problem with fewer than three members (whose one other segment can
+    always win) are searched too. A surviving row keeps its place in its
+    block, so its sums keep their bits. Its golden-section steps depend on
+    no other row, and every bracket first narrows below GOLDEN_TOL at the
+    same step whatever rows remain, so the search returns the same values
+    for it as among all rows. Returns the blocks cut to the surviving
+    rows, renumbered 0..K-1 in problem order, and the K surviving rows.
+    """
+    sizes = np.array([r.size for r in risks])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    keep = np.repeat(sizes < 3, sizes)
+    keep[starts[:-1] + erm_idx] = True
+    if keep.all():
+        return list(blocks), np.arange(keep.size)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    row_risks = np.concatenate(risks)
+    erm_risk = np.array([r[i] for r, i in zip(risks, erm_idx)])
+    cut = []
+    # Each block is cut as soon as it is built, so the full blocks are never all held at once.
+    for block in blocks:
+        rows = block[0]
+        k = keep[rows]
+        if not k.all():
+            lower, attained, allowance = _segment_bounds(model, block, erm_risk[owner[rows]], row_risks[rows])
+            best = erm_risk.copy()  # a problem's segments all lie in one block
+            np.minimum.at(best, owner[rows], attained)
+            k |= lower <= best[owner[rows]] + allowance
+            keep[rows] = k
+        cut.append(block if k.all() else _block_rows(block, k))
+    position = np.cumsum(keep) - 1
+    return [(position[rows], *rest) for rows, *rest in cut], np.flatnonzero(keep)
+
+
+def _star_over_matrix(model: LossModel, classes: list, samples: list, preds: list) -> list:
+    """Two-stage minimization over the rows of each problem's prediction matrix.
+
+    The segments that _screen_segments cannot rule out run in one lockstep
+    golden section over the blocks of _segment_blocks; the others keep
+    lam = 1 and risk +inf.
+    """
+    targets = [None if model.is_likelihood else np.asarray(s.y, dtype=float) for s in samples]
+    # _risk_rows checks preds and targets, so the segment search need not.
+    risks = [_risk_rows(model, p, s) for p, s in zip(preds, samples)]
+    erm_idx = [int(np.argmin(r)) for r in risks]
+    erm_rows = [p[i] for p, i in zip(preds, erm_idx)]
+    blocks, kept = _screen_segments(model, _segment_blocks(model, preds, targets, erm_rows), risks, erm_idx)
     # The blocks are evaluated one after another, so they share one scratch buffer.
     scratch = np.empty(2 * max(block[2].size for block in blocks))
     blocks = [(rows, _segment_risks(model, *args, scratch)) for rows, *args in blocks]
@@ -232,27 +368,10 @@ def _stacked_segment_risks(model: LossModel, preds: list, targets: list, erm_row
             out[rows] = fn(lams[rows])
         return out
 
-    return risk_fn
-
-
-def _star_over_matrix(model: LossModel, classes: list, samples: list) -> list:
-    """Two-stage minimization over the rows of each problem's prediction matrix.
-
-    Every problem's segments run in one lockstep golden section. A single
-    problem is searched in place, its ERM row and target broadcast; several
-    are stacked by _stacked_segment_risks.
-    """
-    preds = [c.prediction_matrix(s) for c, s in zip(classes, samples)]
-    targets = [None if model.is_likelihood else np.asarray(s.y, dtype=float) for s in samples]
-    # _risk_rows checks preds and targets, so the segment search need not.
-    risks = [_risk_rows(model, p, s) for p, s in zip(preds, samples)]
-    erm_idx = [int(np.argmin(r)) for r in risks]
-    erm_rows = [p[i] for p, i in zip(preds, erm_idx)]
-    if len(preds) == 1:
-        risk_fn = _segment_risks(model, erm_rows[0], preds[0], targets[0], preds[0].shape[1])
-    else:
-        risk_fn = _stacked_segment_risks(model, preds, targets, erm_rows)
-    lams, seg_risks = _golden_batch(risk_fn, sum(p.shape[0] for p in preds))
+    lams = np.ones(sum(r.size for r in risks))
+    seg_risks = np.full(lams.size, np.inf)
+    # A single block holds every row, in order.
+    lams[kept], seg_risks[kept] = _golden_batch(risk_fn if len(blocks) > 1 else blocks[0][1], kept.size)
     fits = []
     start = 0
     for c, p, r, i, a in zip(classes, preds, risks, erm_idx, erm_rows):
@@ -288,19 +407,29 @@ def _star_over_matrix(model: LossModel, classes: list, samples: list) -> list:
     return fits
 
 
-def star_fit(model: LossModel, cls, sample):
+def star_fit(model: LossModel, cls, sample, preds=None):
     """Stage 1: ERM over the class; stage 2: best segment from the ERM.
 
     cls and sample may also be equal-length lists of classes and samples;
     then every problem is fitted in one lockstep segment search and the
-    list of their StarFits is returned.
+    list of their StarFits is returned. preds, if given, holds the
+    classes' prediction matrices on the samples (one matrix, or a list),
+    for a caller that has already built them.
     """
-    if isinstance(cls, FiniteClass):
-        return _star_over_matrix(model, [cls], [sample])[0]
-    classes, samples = list(cls), list(sample)
+    single = isinstance(cls, FiniteClass)
+    classes, samples = ([cls], [sample]) if single else (list(cls), list(sample))
     if len(classes) != len(samples):
         raise ValueError(f"star_fit got {len(classes)} classes but {len(samples)} samples")
-    return _star_over_matrix(model, classes, samples) if classes else []
+    if preds is None:
+        preds = [c.prediction_matrix(s) for c, s in zip(classes, samples)]
+    else:
+        preds = [np.asarray(p, dtype=float) for p in ([preds] if single else preds)]
+        if [p.shape for p in preds] != [(len(c), s.n) for c, s in zip(classes, samples)]:
+            raise ValueError("preds must hold one (members, n) prediction matrix per class and sample")
+    if not classes:
+        return []
+    fits = _star_over_matrix(model, classes, samples, preds)
+    return fits[0] if single else fits
 
 
 def _stationary_lambda(model: LossModel, a, b, target) -> float:

@@ -41,12 +41,19 @@ __all__ = [
 EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap", "bound_vs_empirical")
 
 _ORACLE_TAG = 777
+# Rows of the logistic oracle scored at a time.
+_ORACLE_CHUNK = 2**15
 _DATA_TAG = 101
 # Integer config fields and their least values.
 _INT_FIELDS = {
     "replications": 1, "seed": 0, "oracle_size": 100_000, "d": 1, "k": 2,
     "members": 1, "n_candidates": 0, "jobs": 1,
 }
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON true is not a count)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if isinstance(self.n_grid, (str, bytes)) or not np.iterable(self.n_grid):
+            raise ValueError(f"n_grid must be a list of sample sizes, not {self.n_grid!r}")
+        for n in self.n_grid:
+            if not _is_int(n) or n < 1:
+                raise ValueError(f"n_grid entries must be integers of at least 1, not {n!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.name!r}")
@@ -84,7 +96,7 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         for field, least in _INT_FIELDS.items():
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{field} must be an integer, not {value!r}")
             if value < least:
                 raise ValueError(f"{field} must be at least {least}")
@@ -300,16 +312,23 @@ def _logistic_oracle(config: ExperimentConfig):
 
     Returns (X, bounds, ref_loss): rows bounds[c]:bounds[c + 1] of X are the
     oracle points labelled c, in draw order, and ref_loss is the mean
-    negative log-likelihood of the true parameter over the draws.
+    negative log-likelihood of the true parameter over the draws. Labels
+    and likelihoods are taken _ORACLE_CHUNK rows at a time; every row's
+    values are the same as from the whole matrix at once.
     """
     W = config.w_true()
     rng = seeded_rng(config.seed, _ORACLE_TAG)
     X = clip_rows(rng.standard_normal((config.oracle_size, config.d)), 10.0)
-    probs = link_softmax(X @ W.T)
-    y = _draw_labels(probs, rng.random(config.oracle_size))
-    lik_true = probs[np.arange(config.oracle_size), y]
-    ref_loss = float(np.mean(-np.log(lik_true)))
-    del probs, lik_true  # release the (N, k) temporaries before the sorted copy
+    u = rng.random(config.oracle_size)
+    y = np.empty(config.oracle_size, dtype=int)
+    nll = np.empty(config.oracle_size)
+    for start in range(0, config.oracle_size, _ORACLE_CHUNK):
+        rows = slice(start, start + _ORACLE_CHUNK)
+        probs = link_softmax(X[rows] @ W.T)
+        y[rows] = _draw_labels(probs, u[rows])
+        nll[rows] = -np.log(probs[np.arange(probs.shape[0]), y[rows]])
+    ref_loss = float(np.mean(nll))
+    del u, nll  # release the length-N temporaries before the sorted copy
     bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=config.k))))
     # A stable sort of 8- or 16-bit labels is a radix sort.
     order = np.argsort(y.astype(np.min_scalar_type(config.k - 1)), kind="stable")
@@ -364,10 +383,37 @@ def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
     return lik
 
 
+def _oracle_losses(W_left, W_right, lam: float, X, bounds, delta: float, k: int, buffers):
+    """Mean negative log-likelihoods of the left predictor and of the lam-mix, on the label-sorted oracle.
+
+    The likelihoods are scored _ORACLE_CHUNK rows at a time into the two
+    rows of buffers, a (2, N) array, and each row is averaged once, so the
+    means equal those of the whole-oracle formula bit for bit.
+    """
+    size = X.shape[0]
+    nll_left, nll_mix = buffers
+    for start in range(0, size, _ORACLE_CHUNK):
+        stop = min(start + _ORACLE_CHUNK, size)
+        # the label blocks' bounds within the chunk
+        chunk_bounds = np.clip(bounds - start, 0, stop - start)
+        q_left = _regularized_likelihoods(W_left, X[start:stop], chunk_bounds, delta, k)
+        q_right = _regularized_likelihoods(W_right, X[start:stop], chunk_bounds, delta, k)
+        out = nll_left[start:stop]
+        np.negative(np.log(q_left, out=out), out=out)
+        # lam * q_left + (1 - lam) * q_right, in place
+        q_left *= lam
+        q_right *= 1.0 - lam
+        q_left += q_right
+        out = nll_mix[start:stop]
+        np.negative(np.log(q_left, out=out), out=out)
+    return float(np.mean(nll_left)), float(np.mean(nll_mix))
+
+
 def _block_logistic(config: ExperimentConfig, cells: list) -> list:
     ball = LinearBall(config.d, config.k, config.B)
     X, bounds, ref_loss = _logistic_oracle(config)
     W_true = config.w_true()
+    buffers = np.empty((2, X.shape[0]))  # every cell's oracle scores
     out = []
     for n, rep in cells:
         delta = config.delta_at(n)
@@ -378,13 +424,9 @@ def _block_logistic(config: ExperimentConfig, cells: list) -> list:
         fit = regularized_star_glm(
             model, ball, sample, delta, n_candidates=config.n_candidates, seed=_mix_seed(config.seed, n, rep)
         )
-        q_left = _regularized_likelihoods(fit.erm.W, X, bounds, delta, config.k)
-        q_right = _regularized_likelihoods(fit.partner.W, X, bounds, delta, config.k)
-        lik_star = fit.lam * q_left + (1.0 - fit.lam) * q_right
-        e_star = float(np.mean(-np.log(lik_star))) - ref_loss
-        e_erm = float(np.mean(-np.log(q_left))) - ref_loss
-        out.append(("erm", n, rep, e_erm))
-        out.append(("star", n, rep, e_star))
+        loss_erm, loss_star = _oracle_losses(fit.erm.W, fit.partner.W, fit.lam, X, bounds, delta, config.k, buffers)
+        out.append(("erm", n, rep, loss_erm - ref_loss))
+        out.append(("star", n, rep, loss_star - ref_loss))
     return out
 
 

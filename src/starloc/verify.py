@@ -75,7 +75,8 @@ def _pooled_margin(name, tol, reports) -> MarginCheckReport:
 def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
     """Star margins over random finite constant classes until ~trials member checks.
 
-    Every class is drawn first, then all are fitted by one batched star_fit.
+    Every class is drawn first, then all are fitted by one batched star_fit;
+    each prediction matrix is built once, for the fit and its check.
     """
     rng = seeded_rng(seed, 13)
     lo, hi = model.domain
@@ -88,13 +89,13 @@ def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
         targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
         samples.append(Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets))
         done += m
-    fits = star_fit(model, classes, samples)
+    preds = [c.prediction_matrix(s) for c, s in zip(classes, samples)]
+    fits = star_fit(model, classes, samples, preds)
     reports = [
         mg.star_margin_check(
-            model, c.prediction_matrix(s), None if model.is_likelihood else s.y, f.star_preds, f.star_risk,
-            tolerance=tol,
+            model, p, None if model.is_likelihood else s.y, f.star_preds, f.star_risk, tolerance=tol
         )
-        for c, s, f in zip(classes, samples, fits)
+        for p, s, f in zip(preds, samples, fits)
     ]
     return _pooled_margin(f"star_margin_{model.kind}", tol, reports)
 

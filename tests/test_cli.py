@@ -226,7 +226,14 @@ def test_experiment_default_w_true_fits_a_small_ball(workdir):
     ({"replications": True}, "replications"),
     ({"n_candidates": -1}, "n_candidates"),
     ([1, 2], "JSON object"),
-], ids=["d0", "k1", "float-reps", "bool-reps", "negative-candidates", "list"])
+    ({"n_grid": [16.7, 32, 64, 128]}, "n_grid"),
+    ({"n_grid": [True, 16, 32]}, "n_grid"),
+    ({"n_grid": [0, 16, 32]}, "n_grid"),
+    ({"n_grid": [-4, 16, 32]}, "n_grid"),
+    ({"n_grid": 64}, "n_grid"),
+    ({"W_true": 5}, "config"),
+], ids=["d0", "k1", "float-reps", "bool-reps", "negative-candidates", "list", "float-n", "bool-n",
+        "zero-n", "negative-n", "scalar-grid", "scalar-w-true"])
 def test_experiment_bad_config_is_an_error(workdir, capsys, config, field):
     if isinstance(config, dict):
         config = {"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, **config}

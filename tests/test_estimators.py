@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from starloc import estimators
 from starloc.estimators import (
     empirical_risk,
     erm_finite,
@@ -204,6 +205,63 @@ def test_segment_search_matches_checked_golden_section(model, rng):
         assert line_search_segment(model, a, b, target) == (float(lam[0]), float(risk[0]))
 
 
+def _screen_cases(model, rng, n=60):
+    """(prediction matrix, target) cases: random classes of 1, 2, 3 and 25 members, a class
+    with no star gain (constants on one side of every target; for the log loss any
+    constants), and a class whose members, the ERM's among them, come in duplicates."""
+    lo, hi = model.domain
+    target = None if model.is_likelihood else rng.uniform(-1.0, 0.5, n)
+    cases = [rng.uniform(lo, hi, (m, n)) for m in (1, 2, 3, 25)]
+    cases.append(np.repeat(rng.uniform(max(lo, 0.5), hi, (12, 1)), n, axis=1))
+    members = rng.uniform(lo, hi, (6, n))
+    cases.append(np.concatenate([members, members, members[:2]]))
+    return cases, target
+
+
+def _fit_fields(fit):
+    return fit.erm_index, fit.partner_index, fit.lam, fit.star_risk
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_segment_screen_keeps_the_full_search_result(model, rng, monkeypatch):
+    cases, target = _screen_cases(model, rng)
+    n = cases[0].shape[1]
+    sample = Sample(np.zeros((n, 1)), np.zeros(n) if target is None else target)
+    classes = [FiniteClass([Tabular(v) for v in preds]) for preds in cases]
+    expected = [_reference_star(model, preds, target) for preds in cases]
+    searched = []
+    golden = estimators._golden_batch
+    monkeypatch.setattr(estimators, "_golden_batch", lambda fn, k: searched.append(k) or golden(fn, k))
+    singles = [star_fit(model, cls, sample) for cls in classes]
+    # every problem has the same sample size, so the batch has no padding
+    batched = star_fit(model, classes, [sample] * len(classes), cases)
+    for fits in (singles, batched):
+        for fit, preds, want in zip(fits, cases, expected):
+            assert _fit_fields(fit) == want
+            erm, partner, lam, _ = want
+            assert np.array_equal(fit.star_preds, lam * preds[erm] + (1.0 - lam) * preds[partner])
+    # the screen is not idle: the 25-member class searches fewer segments
+    assert searched[3] < 25
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_segment_screen_keeps_ragged_batch_results(model, rng, monkeypatch):
+    sizes = [int(n) for n in rng.integers(1, 90, 30)]
+    classes, samples = _star_problems(model, rng, sizes)
+    screened = star_fit(model, classes, samples)
+
+    def no_screen(model, block, erm_risk, risks):
+        rows = block[0].size
+        return np.full(rows, -np.inf), np.full(rows, np.inf), np.zeros(rows)
+
+    monkeypatch.setattr(estimators, "_segment_bounds", no_screen)
+    for fit, full in zip(screened, star_fit(model, classes, samples)):
+        assert _fit_fields(fit) == _fit_fields(full)
+        assert np.array_equal(fit.star_preds, full.star_preds)
+
+
 @pytest.mark.parametrize("bad", [2.0, -2.0, math.nan], ids=["above", "below", "nan"])
 def test_segment_search_rejects_bad_endpoints(bad):
     sq = square_loss(1.0)
@@ -265,6 +323,8 @@ def test_star_fit_batch_needs_one_sample_per_class():
     sample = _const_sample([0.5, 0.8, 0.6])
     with pytest.raises(ValueError):
         star_fit(sq, [cls, cls], [sample])
+    with pytest.raises(ValueError):
+        star_fit(sq, [cls], [sample], [np.zeros((2, 2))])
     assert star_fit(sq, [], []) == []
 
 

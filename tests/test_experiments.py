@@ -299,6 +299,26 @@ def test_logistic_oracle_sorts_the_dense_draws():
         assert np.array_equal(X, Xs)
 
 
+@pytest.mark.parametrize("chunk", [experiments._ORACLE_CHUNK, 777])
+def test_streamed_oracle_losses_equal_the_dense_formula(monkeypatch, chunk):
+    # k = 3 with no point labelled 1, and an oracle that is no multiple of the chunk
+    monkeypatch.setattr(experiments, "_ORACLE_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    X = 3.0 * rng.standard_normal((100_003, 2))
+    bounds = np.array([0, 41_000, 41_000, X.shape[0]])
+    W_left, W_right = rng.uniform(-1.0, 1.0, (2, 3, 2))
+    delta, lam = 0.01, 0.37
+    q_left = _regularized_likelihoods(W_left, X, bounds, delta, 3)
+    q_right = _regularized_likelihoods(W_right, X, bounds, delta, 3)
+    expected = (float(np.mean(-np.log(q_left))), float(np.mean(-np.log(lam * q_left + (1.0 - lam) * q_right))))
+    buffers = np.empty((2, X.shape[0]))
+    assert experiments._oracle_losses(W_left, W_right, lam, X, bounds, delta, 3, buffers) == expected
+    cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), oracle_size=100_003, B=3.0)
+    X, bounds, ref_loss = _logistic_oracle(cfg)
+    monkeypatch.setattr(experiments, "_ORACLE_CHUNK", X.shape[0])
+    assert all(np.array_equal(a, b) for a, b in zip((X, bounds, ref_loss), _logistic_oracle(cfg)))
+
+
 LOGISTIC_SMALL = dict(n_grid=(32, 64, 128), replications=2, seed=5, oracle_size=100_000,
                       delta="1/n", B=3.0)
 
