@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,11 +49,20 @@ _INT_FIELDS = {
     "replications": 1, "seed": 0, "oracle_size": 100_000, "d": 1, "k": 2,
     "members": 1, "n_candidates": 0, "jobs": 1,
 }
+# Float config fields, and those of them that must be positive.
+_FLOAT_FIELDS = ("p", "B", "sigma", "c", "noise", "center")
+_POSITIVE_FIELDS = ("B", "sigma", "noise")
 
 
 def _is_int(value) -> bool:
     """An integer that is not a bool (JSON true is not a count)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,8 @@ class ExperimentConfig:
             if not _is_int(n) or n < 1:
                 raise ValueError(f"n_grid entries must be integers of at least 1, not {n!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        if len(self.n_grid) < 3:
+            raise ValueError(f"n_grid needs at least 3 sample sizes for a rate fit, not {len(self.n_grid)}")
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.name!r}")
         if any(b >= a for a, b in zip(self.n_grid[1:], self.n_grid)):
@@ -100,6 +111,25 @@ class ExperimentConfig:
                 raise ValueError(f"{field} must be an integer, not {value!r}")
             if value < least:
                 raise ValueError(f"{field} must be at least {least}")
+        for field in _FLOAT_FIELDS:
+            value = getattr(self, field)
+            if not _is_finite_real(value):
+                raise ValueError(f"{field} must be a finite number, not {value!r}")
+            if field in _POSITIVE_FIELDS and value <= 0:
+                raise ValueError(f"{field} must be positive, not {value!r}")
+        delta = self.delta
+        if not (delta is None or delta == "1/n" or (_is_finite_real(delta) and 0 < delta <= 0.5)):
+            raise ValueError(f'delta must be null, "1/n" or a number in (0, 1/2], not {delta!r}')
+        if self.name == "nonconvex_gap":
+            b = self.sigma / (4.0 * math.sqrt(self.n_grid[0]))
+            if not b < self.c:
+                raise ValueError(f"c must exceed sigma / (4 sqrt(n)) = {b} at the smallest n = {self.n_grid[0]}")
+        if self.name in ("ploss_rate", "bound_vs_empirical"):
+            model = p_loss(self.p, self.B)
+            try:
+                model.check_target(_ploss_atoms(self))
+            except ValueError as exc:
+                raise ValueError(f"center and noise put the p-loss targets outside [-B, B]: {exc}") from None
 
     def delta_at(self, n: int) -> float:
         if self.delta == "1/n":
@@ -197,6 +227,11 @@ def gen_ploss_data(n: int, center: float, scale: float, seed) -> Sample:
     return Sample(np.zeros((n, 1)), center + eps)
 
 
+def _ploss_atoms(config: ExperimentConfig) -> np.ndarray:
+    """The two values gen_ploss_data's targets take: center + 2 noise and center - noise."""
+    return config.center + np.array([2.0 * config.noise, -config.noise])
+
+
 def ploss_members(config: ExperimentConfig) -> FiniteClass:
     """Evenly spaced constant predictors spanning [-B, B]."""
     vals = np.linspace(-config.B, config.B, config.members)
@@ -287,24 +322,37 @@ def fit_rate(rows) -> tuple[float, float, float]:
 # per-replication runners (module level so process pools can pickle the work)
 
 
-def _twopoint_oracle(config: ExperimentConfig, n: int, b: float, model: LossModel) -> AtomOracle:
+def _twopoint_draws(config: ExperimentConfig, n: int, out: np.ndarray) -> None:
+    """Fill out with the standard normals of the size-n square-loss oracle.
+
+    Runs on _block_nonconvex's draw thread, so it calls no layer function
+    that bench/tracer.py wraps: the tracer keeps one span stack for all
+    threads.
+    """
+    seeded_rng(config.seed, n, _ORACLE_TAG).standard_normal(out=out)
+
+
+def _twopoint_oracle(config: ExperimentConfig, b: float, model: LossModel, z: np.ndarray) -> AtomOracle:
     """Square-loss oracle for constant predictors: only the target mean matters.
 
-    mean((v - y)^2) = (v - ybar)^2 + var(y), and var(y) is the same for
-    every constant, so one atom at ybar scores every excess exactly.
+    z holds the size-n oracle's normals (_twopoint_draws) and is turned in
+    place into the targets b + sigma * clip(z, -8, 8), element by element
+    the same operations as that formula. mean((v - y)^2) = (v - ybar)^2 +
+    var(y), and var(y) is the same for every constant, so one atom at ybar
+    scores every excess exactly.
     """
-    rng = seeded_rng(config.seed, n, _ORACLE_TAG)
-    y = b + config.sigma * np.clip(rng.standard_normal(config.oracle_size), -8.0, 8.0)
-    model.check_target(y)
-    return _atom_oracle(model, [float(np.mean(y))], [1.0])
+    np.clip(z, -8.0, 8.0, out=z)
+    z *= config.sigma
+    z += b
+    model.check_target(z)
+    return _atom_oracle(model, [float(np.mean(z))], [1.0])
 
 
 def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
     """The p-loss oracle sample takes two values, so it is their counts."""
     rng = seeded_rng(config.seed, _ORACLE_TAG)
     high = int(np.count_nonzero(rng.random(config.oracle_size) < 0.2))
-    atoms = config.center + np.array([2.0 * config.noise, -config.noise])
-    return _atom_oracle(model, atoms, [high, config.oracle_size - high])
+    return _atom_oracle(model, _ploss_atoms(config), [high, config.oracle_size - high])
 
 
 def _logistic_oracle(config: ExperimentConfig):
@@ -336,20 +384,38 @@ def _logistic_oracle(config: ExperimentConfig):
 
 
 def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
+    """Records of the nonconvex_gap cells.
+
+    One worker thread draws each sample size's oracle normals into one
+    reused buffer while this thread fits that size's replications (numpy
+    releases the GIL during the fill). The buffer is reduced to its atom
+    before the next size's draw is submitted, so the records do not depend
+    on the scheduling, and the pool is shut down before the block returns.
+    """
+    if not cells:
+        return []
     model = square_loss(config.c + 8.0 * config.sigma)
     best_member = Constant(config.c)
+    groups = [(n, [rep for _, rep in group]) for n, group in itertools.groupby(cells, key=lambda cell: cell[0])]
+    z = np.empty(config.oracle_size)
     out = []
-    for n, group in itertools.groupby(cells, key=lambda cell: cell[0]):
-        b = config.sigma / (4.0 * math.sqrt(n))
-        oracle = _twopoint_oracle(config, n, b, model)
-        hull_opt = Constant(b)
-        for _, rep in group:
-            sample, cls = gen_twopoint_data(n, config.c, b, config.sigma, (config.seed, n, rep, _DATA_TAG))
-            fit = star_fit(model, cls, sample)
-            e_erm = population_excess_risk(model, fit.erm, oracle, f_star=best_member)
-            e_star = population_excess_risk(model, fit.combined, oracle, f_star=hull_opt)
-            out.append(("erm", n, rep, e_erm))
-            out.append(("star", n, rep, e_star))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draw = pool.submit(_twopoint_draws, config, groups[0][0], z)
+        for i, (n, reps) in enumerate(groups):
+            b = config.sigma / (4.0 * math.sqrt(n))
+            fits = []
+            for rep in reps:
+                sample, cls = gen_twopoint_data(n, config.c, b, config.sigma, (config.seed, n, rep, _DATA_TAG))
+                fit = star_fit(model, cls, sample)
+                fits.append((fit.erm, fit.combined))
+            draw.result()
+            oracle = _twopoint_oracle(config, b, model, z)
+            if i + 1 < len(groups):
+                draw = pool.submit(_twopoint_draws, config, groups[i + 1][0], z)
+            hull_opt = Constant(b)
+            for rep, (erm, combined) in zip(reps, fits):
+                out.append(("erm", n, rep, population_excess_risk(model, erm, oracle, f_star=best_member)))
+                out.append(("star", n, rep, population_excess_risk(model, combined, oracle, f_star=hull_opt)))
     return out
 
 
@@ -454,7 +520,9 @@ def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> 
 
     Deterministic for a fixed config and seed: replication seeds derive from
     (seed, n, rep) and aggregation folds in (n, rep) order regardless of
-    scheduling, so parallel and serial runs emit identical results.
+    scheduling, so parallel and serial runs emit identical results. The
+    nonconvex_gap oracle draws run on one worker thread per block,
+    overlapped with the fits; no thread outlives its block.
     """
     jobs = config.jobs if n_jobs is None else n_jobs
     cfg = asdict(config)
@@ -463,6 +531,9 @@ def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> 
         # Every task takes a share of each sample size, so the tasks cost
         # about the same; each builds its oracles once.
         tasks = [cells[i::jobs] for i in range(min(jobs, len(cells)))]
+        # Imported here, so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             blocks = list(pool.map(_run_block, [cfg] * len(tasks), tasks))
     else:

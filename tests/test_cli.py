@@ -232,14 +232,29 @@ def test_experiment_default_w_true_fits_a_small_ball(workdir):
     ({"n_grid": [-4, 16, 32]}, "n_grid"),
     ({"n_grid": 64}, "n_grid"),
     ({"W_true": 5}, "config"),
+    ({"n_grid": [], "name": "nonconvex_gap"}, "n_grid"),
+    ({"n_grid": [16, 32], "name": "nonconvex_gap"}, "n_grid"),
+    ({"sigma": "1", "name": "nonconvex_gap"}, "sigma"),
+    ({"sigma": -1, "name": "nonconvex_gap"}, "sigma"),
+    ({"c": 0.01, "name": "nonconvex_gap"}, "c must"),
+    ({"p": "3", "name": "ploss_rate"}, "p must"),
+    ({"B": True, "name": "ploss_rate"}, "B must"),
+    ({"noise": float("nan"), "name": "ploss_rate"}, "noise"),
+    ({"center": 5, "name": "ploss_rate"}, "center"),
+    ({"delta": 0.7}, "delta"),
+    ({"delta": "1/m"}, "delta"),
 ], ids=["d0", "k1", "float-reps", "bool-reps", "negative-candidates", "list", "float-n", "bool-n",
-        "zero-n", "negative-n", "scalar-grid", "scalar-w-true"])
+        "zero-n", "negative-n", "scalar-grid", "scalar-w-true", "empty-grid", "short-grid", "string-sigma",
+        "negative-sigma", "small-c", "string-p", "bool-B", "nan-noise", "center-outside", "large-delta",
+        "string-delta"])
 def test_experiment_bad_config_is_an_error(workdir, capsys, config, field):
+    name = "logistic_rate"
     if isinstance(config, dict):
         config = {"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, **config}
+        name = config.pop("name", name)
     cfg = workdir / "exp.json"
     cfg.write_text(json.dumps(config))
-    rc = main(["experiment", "--name", "logistic_rate", "--config", str(cfg),
+    rc = main(["experiment", "--name", name, "--config", str(cfg),
                "--out-dir", str(workdir / "o")])
     assert rc == 1
     err = capsys.readouterr().err

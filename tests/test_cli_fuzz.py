@@ -1,12 +1,15 @@
 """Fuzz the file-reading subcommands with generated inputs.
 
-`fit`, `offset` and `bound` read a CSV, a class spec or a params file and
-numeric flags. Whatever they are fed, `main` must return 0 or 1 (with an
-`error:` line) or exit 2 through argparse; no other exception may escape.
-Inputs start from a valid file and are then perturbed, so most examples
-get past parsing into the estimators and bound evaluators.
+`fit`, `offset`, `bound` and `experiment` read a CSV, a class spec, a
+params file or an experiment config, and numeric flags. Whatever they are
+fed, `main` must return 0 or 1 (with an `error:` line) or exit 2 through
+argparse; no other exception may escape. Inputs start from a valid file
+and are then perturbed, so most examples get past parsing into the
+estimators, bound evaluators and experiment runners.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from starloc.cli import main
+from starloc.experiments import EXPERIMENT_NAMES
 
 # Derandomized, so every run of the suite tries the same inputs; a few
 # dozen examples per subcommand keep this module to seconds.
@@ -157,3 +161,26 @@ def test_bound_fuzz(case, flags):
     with tempfile.TemporaryDirectory() as tmp:
         _run(["bound", "--kind", kind, "--params", _write(tmp, "params.json", json.dumps(params)), *flags,
               "--out", str(Path(tmp) / "out.json")])
+
+
+# Tiny sizes: the smallest oracle the config accepts, and junk integers
+# are at most 3, so no perturbation makes a run large.
+EXPERIMENT = {
+    "n_grid": [8, 16, 32], "replications": 2, "oracle_size": 100_000, "seed": 1, "p": 3.0, "B": 3.0,
+    "sigma": 1.0, "c": 1.0, "noise": 0.2, "center": 0.2, "delta": "1/n", "d": 2, "k": 2, "members": 4,
+    "n_candidates": 2,
+}
+
+
+@FUZZ
+@given(st.sampled_from(EXPERIMENT_NAMES), st.one_of(perturbed(EXPERIMENT), perturbed(EXPERIMENT), JUNK))
+def test_experiment_fuzz(name, config):
+    """Every failure is an `error:` line with exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["experiment", "--name", name, "--config", _write(tmp, "exp.json", json.dumps(config)),
+                "--out-dir", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1), argv
+        assert (rc == 1) == err.getvalue().startswith("error:"), (config, err.getvalue())

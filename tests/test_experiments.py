@@ -1,6 +1,8 @@
 import gc
+import itertools
 import json
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -128,13 +130,15 @@ def test_fit_rate_drops_nonpositive_rows():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(name="bogus", n_grid=(8, 16))
-    with pytest.raises(ValueError):
-        ExperimentConfig(name="ploss_rate", n_grid=(16, 8))
-    with pytest.raises(ValueError):
-        ExperimentConfig(name="ploss_rate", n_grid=(8, 16), oracle_size=10)
-    cfg = ExperimentConfig(name="logistic_rate", n_grid=(8, 16), delta="1/n", oracle_size=100_000)
+    with pytest.raises(ValueError, match="unknown experiment"):
+        ExperimentConfig(name="bogus", n_grid=(8, 16, 32))
+    with pytest.raises(ValueError, match="increasing"):
+        ExperimentConfig(name="ploss_rate", n_grid=(16, 8, 32))
+    with pytest.raises(ValueError, match="oracle_size"):
+        ExperimentConfig(name="ploss_rate", n_grid=(8, 16, 32), oracle_size=10)
+    with pytest.raises(ValueError, match="n_grid"):
+        ExperimentConfig(name="ploss_rate", n_grid=(8, 16))
+    cfg = ExperimentConfig(name="logistic_rate", n_grid=(8, 16, 32), delta="1/n", oracle_size=100_000)
     assert cfg.delta_at(16) == pytest.approx(1 / 16)
 
 
@@ -238,6 +242,56 @@ def test_nonconvex_compressed_oracle_is_exact():
                 erm_picked_best += 1
                 assert got[("erm", n, rep)] == 0.0
     assert erm_picked_best > 0
+
+
+def _serial_nonconvex_records(cfg, cells):
+    """The nonconvex block's records from a fresh oracle draw per sample size, scored after each fit."""
+    model = square_loss(cfg.c + 8.0 * cfg.sigma)
+    out = []
+    for n, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        b = cfg.sigma / (4.0 * math.sqrt(n))
+        rng = np.random.default_rng((cfg.seed, n, _ORACLE_TAG))
+        y = b + cfg.sigma * np.clip(rng.standard_normal(cfg.oracle_size), -8.0, 8.0)
+        oracle = experiments._atom_oracle(model, [float(np.mean(y))], [1.0])
+        for _, rep in group:
+            sample, cls = gen_twopoint_data(n, cfg.c, b, cfg.sigma, (cfg.seed, n, rep, _DATA_TAG))
+            fit = star_fit(model, cls, sample)
+            out.append(("erm", n, rep, population_excess_risk(model, fit.erm, oracle, f_star=Constant(cfg.c))))
+            out.append(("star", n, rep, population_excess_risk(model, fit.combined, oracle, f_star=Constant(b))))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_overlapped_oracle_draws_match_serial_draws(seed):
+    cfg = ExperimentConfig(name="nonconvex_gap", n_grid=(32, 64, 128), replications=3, seed=seed,
+                           oracle_size=100_003)
+    cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+    for block in (cells, cells[1::2]):  # a whole run, and one task of a two-process run
+        assert experiments._block_nonconvex(cfg, block) == _serial_nonconvex_records(cfg, block)
+    assert experiments._block_nonconvex(cfg, []) == []
+
+
+@pytest.mark.parametrize("layer, at_second_size", [
+    ("_twopoint_draws", lambda config, n, out: n == 64),  # on the worker thread
+    ("star_fit", lambda model, cls, sample: len(sample.y) == 64),  # on the main thread
+], ids=["worker-draw", "main-fit"])
+def test_nonconvex_errors_propagate_and_leave_no_thread(monkeypatch, layer, at_second_size):
+    cfg = ExperimentConfig(name="nonconvex_gap", n_grid=(32, 64, 128), replications=2, seed=1,
+                           oracle_size=100_000)
+    error = RuntimeError(f"{layer} failed")
+    original = getattr(experiments, layer)
+
+    def failing(*args):
+        if at_second_size(*args):
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(experiments, layer, failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_rate_experiment(cfg)
+    assert info.value is error
+    assert threading.active_count() == before
 
 
 def test_ploss_compressed_oracle_is_exact():
