@@ -33,14 +33,13 @@ _TRUNC = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class BoundInputs:
-    """Inputs shared by the bound evaluators; C defaults to 1 and is echoed."""
+    """Inputs shared by the bound evaluators; only glm_bound reads C (default 1)."""
 
     n: float
     rho: float
     m: float | None = None
     eta: float | None = None
     eps: float | None = None
-    delta: float | None = None
     alpha: float | None = None
     gamma: float | None = None
     C: float = 1.0

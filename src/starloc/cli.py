@@ -28,8 +28,10 @@ from .complexity import (
 )
 from .estimators import erm_finite, regularized_star_glm, star_fit
 from .experiments import (
-    EXPERIMENT_NAMES,
     ExperimentConfig,
+    _is_finite_array,
+    _is_finite_real,
+    _is_int,
     bound_vs_empirical,
     results_csv,
     run_rate_experiment,
@@ -83,6 +85,16 @@ def _build_loss(args) -> LossModel:
     raise CliError(f"unknown loss {kind!r}")
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot parse {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} {path} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
 def load_data_csv(path: str, loss_kind: str, k: int | None = None) -> Sample:
     """Header x1,...,xd,y; y is real for regression and a 1..k label for glm."""
     try:
@@ -120,55 +132,51 @@ def load_data_csv(path: str, loss_kind: str, k: int | None = None) -> Sample:
     return Sample(X, y)
 
 
-def _spec_value(obj: dict, key: str, convert, where: str):
-    """obj[key] through convert; missing, null or unconvertible values are CliErrors."""
+def _number(obj: dict, key: str, where: str, integer: bool = False):
+    """obj[key] if it is a finite JSON number (an integer of at least 1, if integer); else a CliError."""
     value = obj.get(key)
-    if value is None:
-        raise CliError(f"class spec: {where} needs a non-null {key!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"class spec: {where} has a bad {key!r}: {exc}") from exc
+    if integer and not (_is_int(value) and value >= 1):
+        raise CliError(f"{where}: {key!r} must be an integer of at least 1, not {value!r}")
+    if not _is_finite_real(value):
+        raise CliError(f"{where}: {key!r} must be a finite number, not {value!r}")
+    return value
 
 
-def _scalar_or_vector(value):
-    return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
-
-
-def _floats(value):
+def _array(obj: dict, key: str, where: str, ndim: int | None = None) -> np.ndarray:
+    """obj[key] as a float array if it is a nonempty array of finite JSON numbers (with ndim axes, if given)."""
+    value = obj.get(key)
+    if not _is_finite_array(value) or ndim not in (None, np.ndim(value)):
+        axes = "" if ndim is None else f"{ndim}-D "
+        raise CliError(f"{where}: {key!r} must be a nonempty {axes}array of finite numbers")
     return np.asarray(value, dtype=float)
 
 
 def _delta_and_link(obj: dict, where: str):
     """The spec's optional delta (null or a finite number); its link, if given, must be softmax."""
     if obj.get("link", "softmax") != "softmax":
-        raise CliError(f"class spec: {where} has link {obj['link']!r}; only 'softmax' is supported")
-    delta = obj.get("delta")
-    if delta is not None and (
-        isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta)
-    ):
-        raise CliError(f"class spec: {where} 'delta' must be null or a finite number, not {delta!r}")
-    return delta
+        raise CliError(f"{where} has link {obj['link']!r}; only 'softmax' is supported")
+    return None if obj.get("delta") is None else _number(obj, "delta", where)
 
 
 def _predictor_from_spec(obj):
     if not isinstance(obj, dict):
         raise CliError(f"class spec: a member must be a JSON object, not {type(obj).__name__}")
     t = obj.get("type")
-    where = f"{t} member"
+    where = f"class spec: {t} member"
     if t == "constant":
-        return Constant(_spec_value(obj, "value", _scalar_or_vector, where))
+        value = obj.get("value")
+        return Constant(_array(obj, "value", where) if isinstance(value, list) else float(_number(obj, "value", where)))
     if t == "tabular":
-        return Tabular(_spec_value(obj, "values", _floats, where))
+        return Tabular(_array(obj, "values", where))
     if t == "linear":
         return Linear(
-            _spec_value(obj, "weights", _floats, where),
-            _spec_value(obj, "bound", float, where) if "bound" in obj else np.inf,
+            _array(obj, "weights", where),
+            float(_number(obj, "bound", where)) if "bound" in obj else np.inf,
             _delta_and_link(obj, where),
         )
     if t == "star_mix":
         return StarMix(
-            _spec_value(obj, "lam", float, where),
+            float(_number(obj, "lam", where)),
             _predictor_from_spec(obj.get("left")),
             _predictor_from_spec(obj.get("right")),
         )
@@ -176,36 +184,25 @@ def _predictor_from_spec(obj):
 
 
 def load_class_spec(path: str):
-    """JSON class spec: finite member list, or a linear ball (d, k, B, link)."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot parse class spec {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CliError(f"class spec {path} must be a JSON object, not {type(obj).__name__}")
+    """JSON class spec: finite member list, or a linear ball (d, k, bound, link)."""
+    obj = _load_json_object(path, "class spec")
     variant = obj.get("variant")
     if variant == "finite":
-        members = obj.get("members") or []
-        if not isinstance(members, list):
-            raise CliError("finite class spec needs a members list")
-        members = [_predictor_from_spec(m) for m in members]
-        if not members:
+        members = obj.get("members")
+        if not isinstance(members, list) or not members:
             raise CliError("finite class spec needs a nonempty members list")
-        return FiniteClass(members, _delta_and_link(obj, "finite class"))
+        members = [_predictor_from_spec(m) for m in members]
+        return FiniteClass(members, _delta_and_link(obj, "class spec: finite class"))
     if variant == "linear_ball":
+        where = "class spec: linear_ball"
+        if "delta" in obj:
+            raise CliError(f"{where} takes no 'delta'; fit takes the likelihood floor from --regularize")
+        _delta_and_link(obj, where)
         return LinearBall(
-            _spec_value(obj, "d", int, variant), _spec_value(obj, "k", int, variant),
-            _spec_value(obj, "bound", float, variant), _delta_and_link(obj, variant),
+            _number(obj, "d", where, integer=True), _number(obj, "k", where, integer=True),
+            float(_number(obj, "bound", where)),
         )
     raise CliError(f"unknown class spec variant {variant!r}")
-
-
-def _real(obj: dict, key: str, where: str):
-    """obj[key] if it is a finite JSON number; a missing or other value is a CliError."""
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise CliError(f"{where}: {key!r} must be a finite number, not {value!r}")
-    return value
 
 
 def _entropy_from_spec(obj) -> EntropyProfile:
@@ -217,17 +214,14 @@ def _entropy_from_spec(obj) -> EntropyProfile:
     if not isinstance(corr, bool):
         raise CliError(f"{where}: 'star_hull_correction' must be true or false, not {corr!r}")
     if variant == "constant":
-        return constant_profile(float(_real(obj, "value", where)), corr)
+        return constant_profile(float(_number(obj, "value", where)), corr)
     if variant == "parametric":
-        k, d, A, B = (_real(obj, key, where) for key in ("k", "d", "A", "B"))
-        return parametric_profile(int(k), int(d), float(A), float(B), corr)
+        k, d = (_number(obj, key, where, integer=True) for key in ("k", "d"))
+        return parametric_profile(k, d, float(_number(obj, "A", where)), float(_number(obj, "B", where)), corr)
     if variant == "power_law":
-        return power_law_profile(float(_real(obj, "A", where)), float(_real(obj, "q", where)), corr)
+        return power_law_profile(float(_number(obj, "A", where)), float(_number(obj, "q", where)), corr)
     if variant == "finite_empirical":
-        try:
-            return finite_empirical_profile(obj.get("vectors"), corr)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{where}: 'vectors' must be a nonempty 2-D array of finite numbers") from exc
+        return finite_empirical_profile(_array(obj, "vectors", where, ndim=2), corr)
     raise CliError(f"unknown entropy variant {variant!r}")
 
 
@@ -261,10 +255,8 @@ def cmd_fit(args) -> int:
     if isinstance(cls, LinearBall):
         if args.loss != "glm":
             raise CliError("linear_ball fitting is wired for the glm loss")
-        delta = args.regularize
-        fit = regularized_star_glm(
-            model, cls, sample, delta, n_candidates=args.candidates, seed=args.seed
-        )
+        # The ball's likelihood floor is --regularize; a linear_ball spec has no delta.
+        fit = regularized_star_glm(model, cls, sample, args.regularize, n_candidates=args.candidates, seed=args.seed)
         record = _describe_fit(fit)
         # The GLM star mix read back in score space: link_right_inverse(combined.probs(x)).
         record["scores_transform"] = {**record["combined"], "type": "glm_star"}
@@ -328,35 +320,30 @@ def cmd_offset(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        params = json.loads(Path(args.params).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot parse params {args.params}: {exc}") from exc
-    if not isinstance(params, dict):
-        raise CliError(f"params {args.params} must be a JSON object, not {type(params).__name__}")
+    params = _load_json_object(args.params, "params")
     where = f"{args.kind} params"
+    if "C" in params and args.kind != "glm":
+        raise CliError(f"{where}: 'C' is the glm bound's constant; the {args.kind} bound does not read it")
 
     def need(*names):
         missing = [nm for nm in names if nm not in params]
         if missing:
             raise CliError(f"missing parameter(s) for {args.kind}: {', '.join(missing)}")
-        return [params[nm] if nm in ("entropy", "regime") else _real(params, nm, where) for nm in names]
+        return [params[nm] if nm in ("entropy", "regime") else _number(params, nm, where, nm in ("k", "d"))
+                for nm in names]
 
     def optional(name, default):
-        return default if params.get(name) is None else _real(params, name, where)
+        return default if params.get(name) is None else _number(params, name, where)
 
     if args.kind == "packing":
         m, eta, n, rho, eps, entropy = need("m", "eta", "n", "rho", "eps", "entropy")
-        inputs = BoundInputs(
-            n=n, rho=rho, m=m, eta=eta, eps=eps, C=optional("C", 1.0),
-            entropy=_entropy_from_spec(entropy),
-        )
+        inputs = BoundInputs(n=n, rho=rho, m=m, eta=eta, eps=eps, entropy=_entropy_from_spec(entropy))
         value = packing_bound(inputs)
     elif args.kind == "chaining":
         m, eta, n, rho, gamma, entropy = need("m", "eta", "n", "rho", "gamma", "entropy")
         inputs = BoundInputs(
             n=n, rho=rho, m=m, eta=eta, alpha=optional("alpha", None), gamma=gamma,
-            C=optional("C", 1.0), entropy=_entropy_from_spec(entropy),
+            entropy=_entropy_from_spec(entropy),
         )
         value = chaining_bound(inputs)
     elif args.kind == "glm":
@@ -376,24 +363,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot parse config {args.config}: {exc}") from exc
-    if not isinstance(cfg_obj, dict):
-        raise CliError(f"experiment config {args.config} must be a JSON object")
+    cfg_obj = _load_json_object(args.config, "experiment config")
     cfg_obj["name"] = args.name or cfg_obj.get("name")
-    if cfg_obj.get("name") not in EXPERIMENT_NAMES:
-        raise CliError(f"unknown experiment name {cfg_obj.get('name')!r}")
-    if args.seed is not None:
-        cfg_obj["seed"] = args.seed
-    if args.reps is not None:
-        cfg_obj["replications"] = args.reps
-    if args.jobs is not None:
-        cfg_obj["jobs"] = args.jobs
+    for key, flag in (("seed", args.seed), ("replications", args.reps), ("jobs", args.jobs)):
+        if flag is not None:
+            cfg_obj[key] = flag
     try:
-        if cfg_obj.get("W_true") is not None:
-            cfg_obj["W_true"] = tuple(tuple(row) for row in cfg_obj["W_true"])
         config = ExperimentConfig(**cfg_obj)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid experiment config: {exc}") from exc
@@ -403,7 +378,7 @@ def cmd_experiment(args) -> int:
     (out_dir / "results.csv").write_text(results_csv(result), encoding="utf-8")
     fields = summary_dict(result)
     summary = dict(_header(config.seed, fields["config"]), estimators=fields["estimators"])
-    if config.name in ("ploss_rate", "bound_vs_empirical"):
+    if config.name == "ploss_rate":
         rows = bound_vs_empirical(config, result)
         summary["bound_vs_empirical"] = [[n, q, b] for n, q, b in rows]
     _emit_json(summary, str(out_dir / "summary.json"))

@@ -114,7 +114,7 @@ def erm_finite(model: LossModel, cls: FiniteClass, sample: Sample):
     return idx, float(risks[idx])
 
 
-def _golden_batch(risk_fn, n_segments: int, tol: float = GOLDEN_TOL):
+def _golden_batch(risk_fn, n_segments: int):
     """Golden-section search over lam in [0, 1], run in lockstep per segment.
 
     risk_fn(lams) evaluates the per-segment risks at a vector of lams; one
@@ -128,7 +128,7 @@ def _golden_batch(risk_fn, n_segments: int, tol: float = GOLDEN_TOL):
     x2 = lo + _INVPHI * w
     f1 = risk_fn(x1)
     f2 = risk_fn(x2)
-    while w.max() > tol:
+    while w.max() > GOLDEN_TOL:
         left = f1 <= f2
         np.copyto(hi, x2, where=left)
         np.copyto(lo, x1, where=~left)

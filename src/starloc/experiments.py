@@ -38,7 +38,7 @@ __all__ = [
     "summary_dict",
 ]
 
-EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap", "bound_vs_empirical")
+EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap")
 
 _ORACLE_TAG = 777
 # Rows of the logistic oracle scored at a time.
@@ -65,12 +65,25 @@ def _is_finite_real(value) -> bool:
     return real and math.isfinite(value)
 
 
+def _is_finite_array(value) -> bool:
+    """A nonempty list or tuple of finite reals, or of such arrays, all of one shape."""
+    if not isinstance(value, (list, tuple)):
+        return False
+    level = [value]
+    while all(isinstance(v, (list, tuple)) for v in level):
+        if len({len(v) for v in level}) != 1:  # empty or ragged
+            return False
+        level = [x for v in level for x in v]
+    return all(map(_is_finite_real, level))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration for one named experiment.
 
     delta may be a float or the string "1/n" (resolved per sample size).
-    W_true defaults to a fixed well-specified parameter inside the ball.
+    W_true is None or a finite k x d array (rows in the B-ball for
+    logistic_rate); None means a fixed well-specified parameter in the ball.
     """
 
     name: str
@@ -124,12 +137,19 @@ class ExperimentConfig:
             b = self.sigma / (4.0 * math.sqrt(self.n_grid[0]))
             if not b < self.c:
                 raise ValueError(f"c must exceed sigma / (4 sqrt(n)) = {b} at the smallest n = {self.n_grid[0]}")
-        if self.name in ("ploss_rate", "bound_vs_empirical"):
+        if self.name == "ploss_rate":
             model = p_loss(self.p, self.B)
             try:
                 model.check_target(_ploss_atoms(self))
             except ValueError as exc:
                 raise ValueError(f"center and noise put the p-loss targets outside [-B, B]: {exc}") from None
+        if self.W_true is not None:
+            W = self.W_true.tolist() if isinstance(self.W_true, np.ndarray) else self.W_true
+            if not _is_finite_array(W) or np.shape(W) != (self.k, self.d):
+                raise ValueError(f"W_true must be a {self.k} x {self.d} array of finite numbers, not {W!r}")
+            if self.name == "logistic_rate" and np.linalg.norm(W, axis=1).max() > self.B + 1e-9:
+                raise ValueError(f"W_true rows must have norm at most B = {self.B}")
+            object.__setattr__(self, "W_true", tuple(map(tuple, W)))
 
     def delta_at(self, n: int) -> float:
         if self.delta == "1/n":
@@ -298,16 +318,19 @@ def fit_rate(rows) -> tuple[float, float, float]:
     """Least squares of ln(mean) on ln(n); nonpositive means are dropped.
 
     Returns (slope, intercept, r_squared); r_squared is 1.0 when the
-    residuals vanish (including the degenerate all-equal case).
+    residuals vanish (including the degenerate all-equal case). Fewer than
+    3 positive means is a ValueError naming the dropped sizes, else a warning.
     """
-    pts = []
+    pts, dropped = [], []
     for n, mean in rows:
         if mean <= 0.0:
-            warnings.warn(f"dropping nonpositive mean excess at n={n}")
-            continue
-        pts.append((math.log(n), math.log(mean)))
+            dropped.append(n)
+        else:
+            pts.append((math.log(n), math.log(mean)))
     if len(pts) < 3:
-        raise ValueError("need at least 3 rows with positive means")
+        raise ValueError(f"need at least 3 rows with positive means; the mean excess is not positive at n = {dropped}")
+    for n in dropped:
+        warnings.warn(f"dropping nonpositive mean excess at n={n}")
     x = np.array([p[0] for p in pts])
     z = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(x, z, 1)
@@ -505,7 +528,6 @@ _BLOCKS = {
     "nonconvex_gap": _block_nonconvex,
     "ploss_rate": _block_ploss,
     "logistic_rate": _block_logistic,
-    "bound_vs_empirical": _block_ploss,
 }
 
 
@@ -554,7 +576,10 @@ def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> 
                     f"({est}): oracle inconsistency"
                 )
             rows.append(RateRow(n, mean, se))
-        slope, intercept, r2 = fit_rate([(r.n, r.mean) for r in rows])
+        try:
+            slope, intercept, r2 = fit_rate([(r.n, r.mean) for r in rows])
+        except ValueError as exc:
+            raise ValueError(f"{est} rate fit: {exc}") from None
         reports[est] = RateReport(tuple(rows), slope, intercept, r2)
     return ExperimentResult(config, reports, tuple(records))
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starloc.cli
 from starloc.cli import load_class_spec, load_data_csv, main
 from starloc.predictors import FiniteClass, LinearBall
 
@@ -276,8 +278,7 @@ def test_glm_csv_labels(workdir):
 
 def test_class_spec_linear_ball(workdir):
     spec = workdir / "ball.json"
-    spec.write_text(json.dumps({"variant": "linear_ball", "d": 2, "k": 2,
-                                "bound": 3.0, "link": "softmax", "delta": 0.1}))
+    spec.write_text(json.dumps({"variant": "linear_ball", "d": 2, "k": 2, "bound": 3.0, "link": "softmax"}))
     ball = load_class_spec(str(spec))
     assert isinstance(ball, LinearBall)
     assert ball.B == 3.0
@@ -472,3 +473,135 @@ def test_verify_non_finite_tol_is_an_error(tmp_path, value):
     assert proc.returncode == 1
     assert proc.stderr == f"error: --tol must be a finite number, not {value}\n"
     assert not out.exists() and proc.stdout == ""
+
+
+GLM_DATA = "x1,x2,y\n0.5,0.1,1\n-0.2,0.3,2\n0.9,-0.4,1\n-0.7,0.2,2\n"
+GARBAGE_NUMBERS = ["2", True, "inf", "nan", float("nan")]
+
+
+def _one_error_naming(argv, capsys, field):
+    """main(argv), with every warning raised, exits 1 with one `error:` line naming field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(lines) == 1, lines
+    assert lines[0].startswith("error:") and field in lines[0], lines
+
+
+def _ball(**fields):
+    return {"variant": "linear_ball", "d": 2, "k": 2, "bound": 3.0, **fields}
+
+
+def _member(member):
+    return {"variant": "finite", "members": [member]}
+
+
+@pytest.mark.parametrize("spec, field", [
+    *[(_ball(d=v), "'d'") for v in (2.7, "2", True)],
+    *[(_ball(k=v), "'k'") for v in (2.5, "2", True, 0)],
+    *[(_ball(bound=v), "'bound'") for v in GARBAGE_NUMBERS],
+    (_ball(delta=0.1), "'delta'"),
+    (_ball(delta=None), "'delta'"),
+    *[(_member({"type": "constant", "value": v}), "'value'") for v in GARBAGE_NUMBERS],
+    (_member({"type": "constant", "value": ["0.5"]}), "'value'"),
+    *[(_member({"type": "tabular", "values": [v, 0.1, 0.2, 0.3]}), "'values'") for v in GARBAGE_NUMBERS],
+    (_member({"type": "linear", "weights": [["0.5"]], "bound": 1.0}), "'weights'"),
+    *[(_member({"type": "linear", "weights": [[0.5]], "bound": v}), "'bound'") for v in GARBAGE_NUMBERS],
+    *[(_member({"type": "star_mix", "lam": v, "left": {"type": "constant", "value": 0.1},
+                "right": {"type": "constant", "value": 0.2}}), "'lam'") for v in GARBAGE_NUMBERS],
+])
+def test_class_spec_numbers_follow_one_rule(workdir, capsys, spec, field):
+    (workdir / "glm.csv").write_text(GLM_DATA)
+    (workdir / "bad.json").write_text(json.dumps(spec))
+    if spec["variant"] == "linear_ball":
+        argv = ["fit", str(workdir / "glm.csv"), "--loss", "glm", "--regularize", "0.05", "--candidates", "2"]
+    else:
+        argv = ["fit", str(workdir / "data.csv"), "--loss", "square"]
+    _one_error_naming([*argv, "--class-spec", str(workdir / "bad.json"), "--out", str(workdir / "o.json")],
+                      capsys, field)
+    assert not (workdir / "o.json").exists()
+
+
+@pytest.mark.parametrize("entropy, field", [
+    ({"variant": "parametric", "k": 2.7, "d": 2, "A": 1.0, "B": 3.0}, "'k'"),
+    ({"variant": "parametric", "k": 2, "d": 2.5, "A": 1.0, "B": 3.0}, "'d'"),
+    ({"variant": "parametric", "k": -2, "d": 2, "A": 1.0, "B": 3.0}, "'k'"),
+    ({"variant": "parametric", "k": 2, "d": 0, "A": 1.0, "B": 3.0}, "'d'"),
+    ({"variant": "finite_empirical", "vectors": [["1", "2"], ["0", "1"]]}, "'vectors'"),
+    ({"variant": "finite_empirical", "vectors": [[True, False], [False, True]]}, "'vectors'"),
+])
+@pytest.mark.parametrize("kind", ["packing", "chaining"])
+def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, field):
+    params = workdir / "p.json"
+    params.write_text(json.dumps({"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
+                                  "entropy": entropy}))
+    _one_error_naming(["bound", "--kind", kind, "--params", str(params), "--out", str(workdir / "b.json")],
+                      capsys, field)
+    assert not (workdir / "b.json").exists()
+
+
+GLM_PARAMS = {"n": 1000, "rho": 0.05, "k": 2, "d": 2, "A": 1.0, "B": 3.0}
+PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
+                  "entropy": {"variant": "constant", "value": 10.0}}
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("glm", {**GLM_PARAMS, "k": -2}, "'k'"),
+    ("glm", {**GLM_PARAMS, "k": 2.5}, "'k'"),
+    ("glm", {**GLM_PARAMS, "d": 2.7}, "'d'"),
+    ("glm", {**GLM_PARAMS, "d": 0}, "'d'"),
+    ("packing", {**PACKING_PARAMS, "C": 50.0}, "'C'"),
+    ("chaining", {**PACKING_PARAMS, "gamma": 1.0, "C": 1.0}, "'C'"),
+    ("bigglm", {"q": 1.0, "regime": "lipschitz_glm", "A": 1.0, "n": 256, "C": 2.0}, "'C'"),
+], ids=["glm-negative-k", "glm-fractional-k", "glm-fractional-d", "glm-zero-d", "packing-C", "chaining-C",
+        "bigglm-C"])
+def test_bound_params_follow_one_rule(workdir, capsys, kind, params, field):
+    path = workdir / "p.json"
+    path.write_text(json.dumps(params))
+    _one_error_naming(["bound", "--kind", kind, "--params", str(path), "--out", str(workdir / "b.json")],
+                      capsys, field)
+    assert not (workdir / "b.json").exists()
+
+
+@pytest.mark.parametrize("W_true", [
+    2.7, [[1.0, "2"], [-1.0, 0.0]], [[True, 0.0], [-1.0, 0.0]], [["inf", 0.0], [-1.0, 0.0]],
+    [["nan", 0.0], [-1.0, 0.0]], [[float("nan"), 0.0], [-1.0, 0.0]], ["1"], [[1.0, 0.5]],
+    [[1.0, 0.5], [-1.0]], [[4.0, 0.0], [-1.0, 0.0]],
+], ids=["scalar", "string", "bool", "string-inf", "string-nan", "nan", "string-row", "one-row", "ragged",
+        "outside-ball"])
+def test_experiment_w_true_fails_before_any_cell(workdir, capsys, monkeypatch, W_true):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a bad W_true reached run_rate_experiment")
+
+    monkeypatch.setattr(starloc.cli, "run_rate_experiment", no_cells)
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, "B": 3.0,
+                               "W_true": W_true}))
+    _one_error_naming(["experiment", "--name", "logistic_rate", "--config", str(cfg),
+                       "--out-dir", str(workdir / "o")], capsys, "W_true")
+    assert not (workdir / "o" / "summary.json").exists()
+
+
+def test_experiment_w_true_is_echoed(workdir):
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, "B": 3.0,
+                               "n_candidates": 2, "W_true": [[1, 0.5], [-1, -0.5]]}))
+    assert main(["experiment", "--name", "logistic_rate", "--config", str(cfg), "--out-dir", str(workdir / "o")]) == 0
+    assert json.loads((workdir / "o" / "summary.json").read_text())["config"]["W_true"] == [[1.0, 0.5], [-1.0, -0.5]]
+
+
+def test_experiment_alias_name_is_gone(workdir, capsys):
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000}))
+    _one_error_naming(["experiment", "--name", "bound_vs_empirical", "--config", str(cfg),
+                       "--out-dir", str(workdir / "o")], capsys, "unknown experiment 'bound_vs_empirical'")
+
+
+def test_nonconvex_with_too_few_positive_erm_means_names_the_estimator(workdir, capsys):
+    # With one replication the ERM excess is exactly 0 whenever the ERM picks +c.
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000}))
+    _one_error_naming(["experiment", "--name", "nonconvex_gap", "--config", str(cfg), "--out-dir", str(workdir / "o")],
+                      capsys, "error: erm rate fit: need at least 3 rows with positive means; "
+                              "the mean excess is not positive at n = [16, 64]")

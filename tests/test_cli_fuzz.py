@@ -70,7 +70,7 @@ MEMBER = st.one_of(
 CLASS_SPEC = st.one_of(
     st.builds(lambda members: {"variant": "finite", "members": members}, st.lists(MEMBER, min_size=1, max_size=4)),
     perturbed({"variant": "finite", "members": GOOD_MEMBERS[:2], "delta": 0.1, "link": "softmax"}),
-    perturbed({"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0, "link": "softmax", "delta": 0.1}),
+    perturbed({"variant": "linear_ball", "d": 1, "k": 2, "bound": 1.0, "link": "softmax"}),
     JUNK,
 )
 
@@ -81,7 +81,7 @@ ENTROPY = st.one_of(
     perturbed({"variant": "finite_empirical", "vectors": [[0.1, 0.2], [0.3, 0.0], [0.2, 0.2]]}),
 )
 BOUND_PARAMS = {
-    "packing": {"m": 4.0, "eta": 0.25, "n": 256, "rho": 0.05, "eps": 0.01, "C": 1.0},
+    "packing": {"m": 4.0, "eta": 0.25, "n": 256, "rho": 0.05, "eps": 0.01},
     "chaining": {"m": 4.0, "eta": 0.25, "n": 256, "rho": 0.05, "gamma": 1.0, "alpha": 0.1},
     "glm": {"n": 256, "rho": 0.05, "k": 2, "d": 2, "A": 1.0, "B": 3.0},
     "bigglm": {"q": 1.0, "regime": "lipschitz_glm", "A": 1.0, "n": 256},

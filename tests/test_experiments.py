@@ -395,3 +395,17 @@ def test_logistic_parallel_matches_serial_and_builds_one_oracle(monkeypatch):
     parallel = run_rate_experiment(cfg, n_jobs=2)
     assert serial.records == parallel.records
     assert len(serial.records) == 2 * len(cfg.n_grid) * cfg.replications
+
+
+def test_w_true_is_checked_and_stored_as_rows():
+    W = np.array([[1.0, 0.5], [-1.0, -0.5]])
+    cfg = ExperimentConfig(name="logistic_rate", n_grid=(8, 16, 32), B=3.0, W_true=W)
+    assert cfg.W_true == ((1.0, 0.5), (-1.0, -0.5))
+    assert np.array_equal(cfg.w_true(), W)
+    for bad in (W * np.nan, W[:1], [[1.0, "0.5"], [-1.0, -0.5]], [[1.0, 0.5], [-1.0]]):
+        with pytest.raises(ValueError, match="W_true must be a 2 x 2 array"):
+            ExperimentConfig(name="logistic_rate", n_grid=(8, 16, 32), B=3.0, W_true=bad)
+    with pytest.raises(ValueError, match="W_true rows"):
+        ExperimentConfig(name="logistic_rate", n_grid=(8, 16, 32), B=1.0, W_true=W)
+    # B bounds the logistic ball only; the other experiments echo W_true without using it
+    assert ExperimentConfig(name="nonconvex_gap", n_grid=(8, 16, 32), W_true=W).W_true == cfg.W_true
