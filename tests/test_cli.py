@@ -530,6 +530,9 @@ def test_class_spec_numbers_follow_one_rule(workdir, capsys, spec, field):
     ({"variant": "parametric", "k": 2, "d": 0, "A": 1.0, "B": 3.0}, "'d'"),
     ({"variant": "finite_empirical", "vectors": [["1", "2"], ["0", "1"]]}, "'vectors'"),
     ({"variant": "finite_empirical", "vectors": [[True, False], [False, True]]}, "'vectors'"),
+    # rejected at the parent too, now by the shared reader
+    *[({"variant": "parametric", "k": v, "d": 2, "A": 1.0, "B": 3.0}, "'k'") for v in ("2", True)],
+    *[({"variant": "parametric", "k": 2, "d": 2, "A": v, "B": 3.0}, "'A'") for v in GARBAGE_NUMBERS],
 ])
 @pytest.mark.parametrize("kind", ["packing", "chaining"])
 def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, field):
@@ -554,8 +557,10 @@ PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
     ("packing", {**PACKING_PARAMS, "C": 50.0}, "'C'"),
     ("chaining", {**PACKING_PARAMS, "gamma": 1.0, "C": 1.0}, "'C'"),
     ("bigglm", {"q": 1.0, "regime": "lipschitz_glm", "A": 1.0, "n": 256, "C": 2.0}, "'C'"),
-], ids=["glm-negative-k", "glm-fractional-k", "glm-fractional-d", "glm-zero-d", "packing-C", "chaining-C",
-        "bigglm-C"])
+    # rejected at the parent too, now by the shared reader
+    *[("glm", {**GLM_PARAMS, "k": v}, "'k'") for v in ("2", True)],
+    *[("glm", {**GLM_PARAMS, "A": v}, "'A'") for v in GARBAGE_NUMBERS],
+])
 def test_bound_params_follow_one_rule(workdir, capsys, kind, params, field):
     path = workdir / "p.json"
     path.write_text(json.dumps(params))
