@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_LEVELS = 20
-_PAIR_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +86,22 @@ def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.
     """Per-row pair suprema of (4/n)(t_i - t_j) - (coef/n)|psi_i - psi_j|^2, t = psi S[d].
 
     Pair (i, j) is worth v_ij = fl(fl(t_i - t_j) * 4/n) - pen_ij, pen_ij =
-    coef * max(q_i + q_j - 2 G_ij, 0) with q_i = |psi_i|^2 and G = psi psi^T
-    taken from one BLAS product per _PAIR_CHUNK row block (an entry's bits
-    depend on the shape of that product); the diagonal pair is exactly 0.
+    coef * max(q_i + q_j - 2 G_ij, 0) with q_i = |psi_i|^2 and G_ij =
+    psi_i . psi_j; the diagonal pair is exactly 0.
 
     Per draw, with hi = argmax t and lo = argmin t, theta = max(0, v(hi, lo))
     is computed with G_hi,lo shrunk by 4 n eps: any summation order of n
     nonnegative products (psi >= 0) is within a factor 1 +- n eps / 2 (to
     first order) of the exact sum, and pen is nonincreasing in G, so theta
     is at most the supremum. Only rows with fl(fl(t_i - t_lo) * 4/n) > theta
-    and columns with fl(fl(t_hi - t_j) * 4/n) > theta are evaluated. This
-    is exact: pen >= 0 and rounding is monotone, so a skipped pair has
-    v_ij <= theta, and the supremum is theta or the largest evaluated v_ij.
+    and columns with fl(fl(t_hi - t_j) * 4/n) > theta are evaluated, their
+    G entries taken from one product of the draw's kept rows and columns
+    (an entry's bits depend on the shape of that product; theta holds for
+    any order). This is exact: pen >= 0 and rounding is monotone, so a
+    skipped pair has v_ij <= theta, and the supremum is theta or the
+    largest evaluated v_ij.
     """
-    size, n = psi_f.shape
+    n = psi_f.shape[1]
     coef = _exp_concave_coefficient(model) / n
 
     def value(dt, qq, g):
@@ -113,24 +114,13 @@ def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.
     draws = np.arange(len(T))
     g_low = np.einsum("ij,ij->i", psi_f[hi], psi_f[lo]) * (1.0 - 4.0 * n * np.finfo(float).eps)
     best = np.maximum(value(T[draws, hi] - T[draws, lo], q[hi] + q[lo], g_low), 0.0)
-    kept = [
-        (
-            np.flatnonzero((t - t[lo[d]]) * (4.0 / n) > best[d]),
-            np.flatnonzero((t[hi[d]] - t) * (4.0 / n) > best[d]),
-        )
-        for d, t in enumerate(T)
-    ]
-    gram = np.empty((min(_PAIR_CHUNK, size), size))
-    for s0 in np.unique(np.concatenate([rows for rows, _ in kept]) // _PAIR_CHUNK) * _PAIR_CHUNK:
-        s1 = min(s0 + _PAIR_CHUNK, size)
-        G = np.matmul(psi_f[s0:s1], psi_f.T, out=gram[: s1 - s0])
-        for d, (rows, cols) in enumerate(kept):
-            rows = rows[np.searchsorted(rows, s0) : np.searchsorted(rows, s1)]
-            if rows.size:
-                t = T[d]
-                val = value(t[rows, None] - t[cols], q[rows, None] + q[cols], G[np.ix_(rows - s0, cols)])
-                val[rows[:, None] == cols] = 0.0
-                best[d] = max(best[d], val.max())
+    for d, t in enumerate(T):
+        rows = np.flatnonzero((t - t[lo[d]]) * (4.0 / n) > best[d])
+        if rows.size:
+            cols = np.flatnonzero((t[hi[d]] - t) * (4.0 / n) > best[d])
+            val = value(t[rows, None] - t[cols], q[rows, None] + q[cols], psi_f[rows] @ psi_f[cols].T)
+            val[rows[:, None] == cols] = 0.0
+            best[d] = max(best[d], val.max())
     return best
 
 

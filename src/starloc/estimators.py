@@ -7,10 +7,14 @@ the loss is convex in its prediction argument). Before the search, a
 screen drops every segment whose risk provably stays above the least
 risk already attained on another: the tangents of a convex risk lie
 below it, so the upper envelope of a few tangents bounds the segment's
-minimum from below. The segments left are searched exactly as they would
-be among all, so the fit is the same. star_fit also takes equal-length
-lists of classes and samples and searches every problem's segments in
-one lockstep golden section.
+minimum from below. A segment whose risk has slope <= 0 at lambda = 1
+has its minimum there, at the ERM end, so it can only tie with the ERM:
+it is not searched but taken at lambda = 1 and the ERM's risk. The
+segments left are searched exactly as they would be among all, so each
+returns the same values. star_fit also takes equal-length lists of classes and
+samples and searches every problem's segments in one lockstep golden
+section, and erm_segment takes lists of segments and samples and bisects
+them in lockstep.
 """
 
 from __future__ import annotations
@@ -257,23 +261,22 @@ def _segment_bounds(model: LossModel, block, erm_risk, risks):
     """Per segment of a block: a lower bound on its risk over [0, 1], a risk it attains, and a rounding allowance.
 
     erm_risk and risks are the segments' risks at lam = 1 and lam = 0. The
-    risk f along a segment is convex, so its tangents lie below it: at
-    lam = 0, at lam = 1 and, where f'(1) > 0, at two probes, the Newton
-    step from lam = 1 and twice that step (clipped to [0, 1]), which often
-    fall on either side of the minimum. Where f'(1) <= 0, lam = 1 is the
-    minimum and stands in for the probes. The lower bound is the minimum
-    over [0, 1] of the tangents' upper envelope, which lies at 0, at 1 or
-    where two tangents cross; the least probe risk is attained. The
-    allowance covers the rounding of all these sums, which grows with the
-    size of their terms.
+    risk f along a segment is convex. Where f'(1) <= 0, lam = 1 (the ERM
+    end) is its minimum, so the segment can only tie with the ERM: its
+    lower bound is +inf. Elsewhere the tangents of f lie below it: at
+    lam = 0, at lam = 1 and at two probes, the Newton step from lam = 1
+    and twice that step (clipped to [0, 1]), which often fall on either
+    side of the minimum. The lower bound is the minimum over [0, 1] of the
+    tangents' upper envelope, which lies at 0, at 1 or where two tangents
+    cross; the least probe risk is attained. The allowance covers the
+    rounding of all these sums, which grows with the size of their terms.
     """
     _, a, preds, target, n = block
     diff = a - preds
     s1, size = _tangent(model, a, diff, target, n)
     up = s1 > 0.0
     if not up.any():
-        # lam = 1 minimizes every segment: all tie with the ERM, and none can be ruled out.
-        return np.full(s1.shape, -np.inf), np.full(s1.shape, np.inf), np.zeros(s1.shape)
+        return np.full(s1.shape, np.inf), np.full(s1.shape, np.inf), np.zeros(s1.shape)
     s0, size0 = _tangent(model, preds, diff, target, n)
     size += size0
     # tangent lines value + slope * (lam - at); the probes start at lam = 1
@@ -303,29 +306,33 @@ def _segment_bounds(model: LossModel, block, erm_risk, risks):
     lams = np.where((lams >= 0.0) & (lams <= 1.0), lams, 1.0)
     envelope = (value[:, None] + slope[:, None] * (lams[None] - at[:, None])).max(axis=0)
     allowance = _SCREEN_TOL * (1.0 + np.abs(erm_risk) + np.abs(risks) + size)
-    return envelope.min(axis=0), value[2:].min(axis=0), allowance
+    return np.where(up, envelope.min(axis=0), np.inf), value[2:].min(axis=0), allowance
 
 
 def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
-    """Drop the segments whose risk provably stays above their problem's star minimum.
+    """Drop the segments whose risk provably stays above their problem's star minimum, or ties with its ERM.
 
     A segment is searched if its lower bound (_segment_bounds) is within
     its allowance of the least risk attained on its problem's segments (a
     probe or the ERM itself); its problem's ERM row and every row of a
     problem with fewer than three members (whose one other segment can
-    always win) are searched too. A surviving row keeps its place in its
-    block, so its sums keep their bits. Its golden-section steps depend on
-    no other row, and every bracket first narrows below GOLDEN_TOL at the
-    same step whatever rows remain, so the search returns the same values
-    for it as among all rows. Returns the blocks cut to the surviving
-    rows, renumbered 0..K-1 in problem order, and the K surviving rows.
+    always win) are searched too. A segment whose slope at lam = 1 is
+    <= 0 (lower bound +inf) is minimized at lam = 1, the ERM end: it is
+    not searched but marked tied, to be pinned to lam = 1 at the ERM risk.
+    A surviving row keeps its place in its block, so its sums keep their
+    bits. Its golden-section steps depend on no other row, and every
+    bracket first narrows below GOLDEN_TOL at the same step whatever rows
+    remain, so the search returns the same values for it as among all
+    rows. Returns the blocks cut to the surviving rows, renumbered
+    0..K-1 in problem order, the K surviving rows and the tied rows.
     """
     sizes = np.array([r.size for r in risks])
     starts = np.concatenate(([0], np.cumsum(sizes)))
     keep = np.repeat(sizes < 3, sizes)
     keep[starts[:-1] + erm_idx] = True
+    tied = np.zeros(keep.size, dtype=bool)
     if keep.all():
-        return list(blocks), np.arange(keep.size)
+        return list(blocks), np.arange(keep.size), np.flatnonzero(tied)
     owner = np.repeat(np.arange(sizes.size), sizes)
     row_risks = np.concatenate(risks)
     erm_risk = np.array([r[i] for r, i in zip(risks, erm_idx)])
@@ -338,26 +345,28 @@ def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
             lower, attained, allowance = _segment_bounds(model, block, erm_risk[owner[rows]], row_risks[rows])
             best = erm_risk.copy()  # a problem's segments all lie in one block
             np.minimum.at(best, owner[rows], attained)
+            tied[rows] = ~k & (lower == np.inf)
             k |= lower <= best[owner[rows]] + allowance
             keep[rows] = k
         cut.append(block if k.all() else _block_rows(block, k))
     position = np.cumsum(keep) - 1
-    return [(position[rows], *rest) for rows, *rest in cut], np.flatnonzero(keep)
+    return [(position[rows], *rest) for rows, *rest in cut], np.flatnonzero(keep), np.flatnonzero(tied)
 
 
 def _star_over_matrix(model: LossModel, classes: list, samples: list, preds: list) -> list:
     """Two-stage minimization over the rows of each problem's prediction matrix.
 
     The segments that _screen_segments cannot rule out run in one lockstep
-    golden section over the blocks of _segment_blocks; the others keep
-    lam = 1 and risk +inf.
+    golden section over the blocks of _segment_blocks. The tied ones take
+    lam = 1 at their ERM's risk, the others lam = 1 and risk +inf; among
+    equal risks the lowest row is the partner.
     """
     targets = [None if model.is_likelihood else np.asarray(s.y, dtype=float) for s in samples]
     # _risk_rows checks preds and targets, so the segment search need not.
     risks = [_risk_rows(model, p, s) for p, s in zip(preds, samples)]
     erm_idx = [int(np.argmin(r)) for r in risks]
     erm_rows = [p[i] for p, i in zip(preds, erm_idx)]
-    blocks, kept = _screen_segments(model, _segment_blocks(model, preds, targets, erm_rows), risks, erm_idx)
+    blocks, kept, tied = _screen_segments(model, _segment_blocks(model, preds, targets, erm_rows), risks, erm_idx)
     # The blocks are evaluated one after another, so they share one scratch buffer.
     scratch = np.empty(2 * max(block[2].size for block in blocks))
     blocks = [(rows, _segment_risks(model, *args, scratch)) for rows, *args in blocks]
@@ -370,6 +379,7 @@ def _star_over_matrix(model: LossModel, classes: list, samples: list, preds: lis
 
     lams = np.ones(sum(r.size for r in risks))
     seg_risks = np.full(lams.size, np.inf)
+    seg_risks[tied] = np.repeat([r[i] for r, i in zip(risks, erm_idx)], [r.size for r in risks])[tied]
     # A single block holds every row, in order.
     lams[kept], seg_risks[kept] = _golden_batch(risk_fn if len(blocks) > 1 else blocks[0][1], kept.size)
     fits = []
@@ -432,39 +442,76 @@ def star_fit(model: LossModel, cls, sample, preds=None):
     return fits[0] if single else fits
 
 
-def _stationary_lambda(model: LossModel, a, b, target) -> float:
+def _stationary_lambda(model: LossModel, a, b, target, n=None):
     """Root of the (increasing) segment risk derivative, to float resolution.
 
     Golden section alone localizes the minimizer only to ~sqrt(eps) because
     risk comparisons near the optimum are float noise; margin checks at
     1e-8 need genuine stationarity, and the derivative is exact.
+
+    a, b and target are one segment's vectors (a float is returned), or
+    (S, L) stacks of S segments with per-row example counts n, padded with
+    zero-gradient entries: a = b = target = 0 for a p-loss, a = b = 1 for
+    the log loss. Then all rows are bisected in lockstep and an (S,) array
+    is returned; a row's derivative sums run over its padding too.
     """
-    diff = a - b
-    if np.array_equal(a, b):
-        return 1.0
+    single = np.ndim(a) == 1
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    target = None if target is None else np.atleast_2d(target)
+    n = np.full(a.shape[0], a.shape[1]) if n is None else np.asarray(n)
 
-    def deriv(lam):
-        mix = lam * a + (1.0 - lam) * b
-        return float(np.mean(grad_loss(model, mix, target) * diff))
+    def deriv(lam, a, b, target, n):
+        mix = lam[:, None] * a + (1.0 - lam[:, None]) * b
+        return (grad_loss(model, mix, target) * (a - b)).sum(axis=1) / n
 
-    if deriv(0.0) >= 0.0:
-        return 0.0
-    if deriv(1.0) <= 0.0:
-        return 1.0
-    return bisect_root(lambda lam: deriv(lam) < 0.0, 0.0, 1.0)
+    seg = (a, b, target, n)
+    d0, d1 = deriv(np.zeros(n.size), *seg), deriv(np.ones(n.size), *seg)
+    equal = (a == b).all(axis=1)
+    lam = np.where(equal | (d0 < 0.0), 1.0, 0.0)
+    inner = ~equal & (d0 < 0.0) & (d1 > 0.0)
+    if inner.any():
+        seg = [None if v is None else v[inner] for v in seg]
+        ends = np.zeros(seg[3].size), np.ones(seg[3].size)
+        lam[inner] = bisect_root(lambda mid: deriv(mid, *seg) < 0.0, *ends)
+    return float(lam[0]) if single else lam
 
 
-def erm_segment(model: LossModel, seg: SegmentClass, sample: Sample):
+def _pad_rows(rows: list, pad: float) -> np.ndarray:
+    """Stack 1-D rows into one matrix, each padded on the right with pad."""
+    out = np.full((len(rows), max(r.size for r in rows)), pad)
+    for i, r in enumerate(rows):
+        out[i, : r.size] = r
+    return out
+
+
+def erm_segment(model: LossModel, seg, sample):
     """Continuous ERM over a segment class.
 
     The minimizing weight comes from derivative bisection (stationary to
-    float resolution); returns (preds, risk, lam).
+    float resolution); returns (preds, risk, lam). seg and sample may also
+    be equal-length lists of segments and samples; then every segment is
+    bisected in one lockstep bisection over rows padded to the longest
+    sample, and the list of their (preds, risk, lam) is returned. One
+    segment is never padded, alone or in a list of one.
     """
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-    lam = _stationary_lambda(model, seg.a, seg.b, target)
-    preds = lam * seg.a + (1.0 - lam) * seg.b
-    risk = float(np.mean(eval_loss(model, preds, target)))
-    return preds, risk, lam
+    single = isinstance(seg, SegmentClass)
+    segs, samples = ([seg], [sample]) if single else (list(seg), list(sample))
+    if len(segs) != len(samples):
+        raise ValueError(f"erm_segment got {len(segs)} segments but {len(samples)} samples")
+    if not segs:
+        return []
+    if any(g.a.shape != (s.n,) for g, s in zip(segs, samples)):
+        raise ValueError("each segment needs one prediction per example of its sample")
+    targets = [None if model.is_likelihood else np.asarray(s.y, dtype=float) for s in samples]
+    pad = 1.0 if model.is_likelihood else 0.0
+    a, b = _pad_rows([g.a for g in segs], pad), _pad_rows([g.b for g in segs], pad)
+    target = None if model.is_likelihood else _pad_rows(targets, 0.0)
+    lams = _stationary_lambda(model, a, b, target, [s.n for s in samples])
+    fits = []
+    for g, t, lam in zip(segs, targets, lams):
+        preds = lam * g.a + (1.0 - lam) * g.b
+        fits.append((preds, float(np.mean(eval_loss(model, preds, t))), float(lam)))
+    return fits[0] if single else fits
 
 
 def erm_simplex(model: LossModel, simplex: SimplexClass, sample: Sample):

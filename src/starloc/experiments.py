@@ -60,9 +60,13 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    """A finite int or float that is not a bool."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+    """A finite int or float that is not a bool; an int too large for a float is not finite."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_finite_array(value) -> bool:

@@ -411,16 +411,21 @@ def row_sum(a):
     return out
 
 
-def bisect_root(below, lo: float, hi: float) -> float:
+def bisect_root(below, lo, hi):
     """Midpoint of [lo, hi] after 80 halvings toward where below turns False.
 
     below(x) must be True left of the root and False right of it. The
     bracket shrinks by a factor 2^80, so for 0 <= lo < hi it ends narrower
-    than the float spacing at hi.
+    than the float spacing at hi. lo and hi may also be equal-shape arrays
+    of brackets, halved in lockstep: below then returns a boolean array,
+    and each bracket ends where its scalar call would.
     """
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        left = below(mid)
+        if np.ndim(mid):
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        elif left:
             lo = mid
         else:
             hi = mid

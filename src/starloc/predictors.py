@@ -145,13 +145,9 @@ class Linear(Predictor):
         return p
 
     def describe(self) -> dict:
-        return {
-            "type": "linear",
-            "weights": self.W.tolist(),
-            "bound": self.bound,
-            "link": "softmax",
-            "delta": self.delta,
-        }
+        # An unbounded member has no "bound", as in a class spec (JSON has no inf).
+        bound = {} if np.isinf(self.bound) else {"bound": self.bound}
+        return {"type": "linear", "weights": self.W.tolist(), **bound, "link": "softmax", "delta": self.delta}
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,8 @@ from .predictors import Constant, FiniteClass, Sample, SegmentClass, seeded_rng
 __all__ = ["SUITES", "run_suite", "standard_models"]
 
 SUITES = ("margins", "losses", "all")
+# Materialized members per random segment class of the ERM margin suite.
+_SEGMENT_LEVELS = 250
 
 
 def standard_models() -> dict[str, LossModel]:
@@ -101,21 +103,29 @@ def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
 
 
 def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
-    """ERM margins over random segment classes; ERM = continuous segment minimizer."""
+    """ERM margins over random segment classes until ~trials member checks; ERM = continuous segment minimizer.
+
+    A class checks its _SEGMENT_LEVELS + 1 materialized members. Every
+    class is drawn first, then all are fitted by one batched erm_segment.
+    """
     rng = seeded_rng(seed, 17)
     lo, hi = model.domain
-    reports = []
+    segs, samples = [], []
     done = 0
     while done < trials:
         n = int(rng.integers(8, 65))
         a = rng.uniform(lo, hi, n)
         b = rng.uniform(lo, hi, n)
-        seg = SegmentClass(a, b, resolution=1.0 / 250)
+        segs.append(SegmentClass(a, b, resolution=1.0 / _SEGMENT_LEVELS))
         targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
-        sample = Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets)
-        preds, risk, _ = erm_segment(model, seg, sample)
-        reports.append(mg.erm_margin_check(model, seg.materialize(), targets, preds, risk, tolerance=tol))
-        done += reports[-1].trials
+        samples.append(Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets))
+        done += _SEGMENT_LEVELS + 1
+    reports = [
+        mg.erm_margin_check(
+            model, seg.materialize(), None if model.is_likelihood else s.y, preds, risk, tolerance=tol
+        )
+        for seg, s, (preds, risk, _) in zip(segs, samples, erm_segment(model, segs, samples))
+    ]
     return _pooled_margin(f"erm_margin_{model.kind}", tol, reports)
 
 

@@ -238,6 +238,7 @@ def test_experiment_default_w_true_fits_a_small_ball(workdir):
     ({"n_grid": [16, 32], "name": "nonconvex_gap"}, "n_grid"),
     ({"sigma": "1", "name": "nonconvex_gap"}, "sigma"),
     ({"sigma": -1, "name": "nonconvex_gap"}, "sigma"),
+    ({"sigma": 10**400, "name": "nonconvex_gap"}, "sigma"),
     ({"c": 0.01, "name": "nonconvex_gap"}, "c must"),
     ({"p": "3", "name": "ploss_rate"}, "p must"),
     ({"B": True, "name": "ploss_rate"}, "B must"),
@@ -247,7 +248,7 @@ def test_experiment_default_w_true_fits_a_small_ball(workdir):
     ({"delta": "1/m"}, "delta"),
 ], ids=["d0", "k1", "float-reps", "bool-reps", "negative-candidates", "list", "float-n", "bool-n",
         "zero-n", "negative-n", "scalar-grid", "scalar-w-true", "empty-grid", "short-grid", "string-sigma",
-        "negative-sigma", "small-c", "string-p", "bool-B", "nan-noise", "center-outside", "large-delta",
+        "negative-sigma", "huge-sigma", "small-c", "string-p", "bool-B", "nan-noise", "center-outside", "large-delta",
         "string-delta"])
 def test_experiment_bad_config_is_an_error(workdir, capsys, config, field):
     name = "logistic_rate"
@@ -477,6 +478,8 @@ def test_verify_non_finite_tol_is_an_error(tmp_path, value):
 
 GLM_DATA = "x1,x2,y\n0.5,0.1,1\n-0.2,0.3,2\n0.9,-0.4,1\n-0.7,0.2,2\n"
 GARBAGE_NUMBERS = ["2", True, "inf", "nan", float("nan")]
+# A JSON integer too large for a float.
+HUGE_INT = 10**400
 
 
 def _one_error_naming(argv, capsys, field):
@@ -510,6 +513,8 @@ def _member(member):
     *[(_member({"type": "linear", "weights": [[0.5]], "bound": v}), "'bound'") for v in GARBAGE_NUMBERS],
     *[(_member({"type": "star_mix", "lam": v, "left": {"type": "constant", "value": 0.1},
                 "right": {"type": "constant", "value": 0.2}}), "'lam'") for v in GARBAGE_NUMBERS],
+    (_ball(bound=HUGE_INT), "'bound'"),
+    (_member({"type": "linear", "weights": [[0.5]], "bound": HUGE_INT}), "'bound'"),
 ])
 def test_class_spec_numbers_follow_one_rule(workdir, capsys, spec, field):
     (workdir / "glm.csv").write_text(GLM_DATA)
@@ -560,6 +565,7 @@ PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
     # rejected at the parent too, now by the shared reader
     *[("glm", {**GLM_PARAMS, "k": v}, "'k'") for v in ("2", True)],
     *[("glm", {**GLM_PARAMS, "A": v}, "'A'") for v in GARBAGE_NUMBERS],
+    ("glm", {**GLM_PARAMS, "B": HUGE_INT}, "'B'"),
 ])
 def test_bound_params_follow_one_rule(workdir, capsys, kind, params, field):
     path = workdir / "p.json"
@@ -610,3 +616,22 @@ def test_nonconvex_with_too_few_positive_erm_means_names_the_estimator(workdir, 
     _one_error_naming(["experiment", "--name", "nonconvex_gap", "--config", str(cfg), "--out-dir", str(workdir / "o")],
                       capsys, "error: erm rate fit: need at least 3 rows with positive means; "
                               "the mean excess is not positive at n = [16, 64]")
+
+
+def test_fit_unbounded_linear_members_emit_and_read_back(workdir):
+    (workdir / "glm.csv").write_text(GLM_DATA)
+    spec = {"variant": "finite", "members": [
+        {"type": "linear", "weights": [[0.5, -0.2], [-0.5, 0.2]]},
+        {"type": "linear", "weights": [[1.0, 0.0], [0.0, 1.0]]},
+    ]}
+    (workdir / "cls.json").write_text(json.dumps(spec))
+    out = workdir / "fit.json"
+    assert main(["fit", str(workdir / "glm.csv"), "--class-spec", str(workdir / "cls.json"), "--loss", "glm",
+                 "--k", "2", "--regularize", "0.05", "--out", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    for key in ("erm", "partner"):
+        assert "bound" not in fit[key]
+        (workdir / "back.json").write_text(json.dumps({"variant": "finite", "members": [fit[key]]}))
+        member = load_class_spec(str(workdir / "back.json")).members[0]
+        assert member.bound == np.inf and member.delta == 0.05
+        assert member.W.tolist() == fit[key]["weights"] == spec["members"][fit[f"{key}_index"]]["weights"]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from starloc.complexity import (
-    _PAIR_CHUNK,
     _exp_concave_coefficient,
     _exp_concave_sups,
     constant_profile,
@@ -254,7 +253,7 @@ def test_batched_offset_equals_row_by_row(rng):
     sample = _const_sample(rng.uniform(-1, 1, n))
     cls = FiniteClass([Constant(float(v)) for v in rng.uniform(-1, 1, 9)])
     F = fprime_matrix(cls, sample, 20)
-    assert F.shape[0] == 693 > _PAIR_CHUNK
+    assert F.shape[0] == 693
     S = rng.choice([-1.0, 1.0], (5, n))
     ref = F[0]
     for kind, model in (("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)),
@@ -266,15 +265,18 @@ def test_batched_offset_equals_row_by_row(rng):
         np.testing.assert_array_equal(batched, single)
 
 
+_REFERENCE_BLOCK = 512
+
+
 def _all_pairs_sups(model, psi_f, S):
-    """Every pair of every draw, in the _PAIR_CHUNK row blocks and operation order of the exact enumeration."""
+    """Every pair of every draw, in _REFERENCE_BLOCK row blocks and the operation order of the exact enumeration."""
     size, n = psi_f.shape
     coef = _exp_concave_coefficient(model) / n
     ts = [psi_f @ s for s in S]
     q = np.einsum("ij,ij->i", psi_f, psi_f)
     best = [-math.inf] * len(S)
-    for s0 in range(0, size, _PAIR_CHUNK):
-        s1 = min(s0 + _PAIR_CHUNK, size)
+    for s0 in range(0, size, _REFERENCE_BLOCK):
+        s1 = min(s0 + _REFERENCE_BLOCK, size)
         pen = psi_f[s0:s1] @ psi_f.T
         pen *= 2.0
         pen = np.subtract(q[s0:s1, None] + q[None, :], pen)
@@ -300,14 +302,15 @@ def test_exp_concave_pruned_sups_equal_all_pairs(case):
     if case == "identical-rows":
         F[:] = F[0]
     target = None if model.is_likelihood else rng.uniform(-1.0, 1.0, n)
-    psi = eval_loss(model, F, target)
+    # integer-valued losses: every Gram entry is exact in any summation order
+    psi = np.floor(8.0 * eval_loss(model, F, target))
     S = rng.choice([-1.0, 1.0], (16, n))
     if case == "argmax-copies":
         # 600 copies of draw 0's argmax row all tie at the top of t, so
-        # more than one block of rows survives the pruning
+        # more rows than one reference block survive the pruning
         psi = np.concatenate([psi, np.repeat(psi[[np.argmax(psi @ S[0])]], 600, axis=0)])
         t = psi @ S[0]
-        assert np.sum(t == t.max()) > _PAIR_CHUNK
+        assert np.sum(t == t.max()) > _REFERENCE_BLOCK
     got = _exp_concave_sups(model, psi, S)
     np.testing.assert_array_equal(got, _all_pairs_sups(model, psi, S))
     if case in ("identical-rows", "single-row"):

@@ -18,12 +18,14 @@ from starloc.estimators import (
 from starloc.losses import (
     eval_loss,
     glm_loss,
+    grad_loss,
     link_right_inverse,
     link_softmax,
     log_loss,
     p_loss,
     square_loss,
 )
+from starloc.margins import erm_margin_check
 from starloc.predictors import (
     Constant,
     FiniteClass,
@@ -247,6 +249,26 @@ def test_segment_screen_keeps_the_full_search_result(model, rng, monkeypatch):
 
 @pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
                          ids=["square", "p3", "log"])
+def test_segment_screen_searches_only_the_erm_rows_of_no_gain_classes(model, rng, monkeypatch):
+    # Every segment of a no-gain class has slope <= 0 at lam = 1, so lam = 1 is its minimum.
+    cases, target = _screen_cases(model, rng)
+    n = cases[0].shape[1]
+    sample = Sample(np.zeros((n, 1)), np.zeros(n) if target is None else target)
+    no_gain = [cases[4], cases[4][::-1].copy(), cases[4][:5]]
+    searched = []
+    golden = estimators._golden_batch
+    monkeypatch.setattr(estimators, "_golden_batch", lambda fn, k: searched.append(k) or golden(fn, k))
+    classes = [FiniteClass([Tabular(v) for v in preds]) for preds in no_gain]
+    fits = [star_fit(model, cls, sample) for cls in classes]
+    fits += star_fit(model, classes, [sample] * len(classes), no_gain)
+    assert searched == [1, 1, 1, len(no_gain)]
+    for fit, preds in zip(fits, no_gain * 2):
+        assert _fit_fields(fit) == _reference_star(model, preds, target)
+        assert fit.lam == 1.0 and fit.star_risk == fit.erm_risk
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
 def test_segment_screen_keeps_ragged_batch_results(model, rng, monkeypatch):
     sizes = [int(n) for n in rng.integers(1, 90, 30)]
     classes, samples = _star_problems(model, rng, sizes)
@@ -377,6 +399,65 @@ def test_star_coincides_with_segment_erm(rng):
         fit = star_fit(sq, FiniteClass(members), sample)
         _, seg_risk, _ = erm_segment(sq, seg, sample)
         assert abs(fit.star_risk - seg_risk) <= 1e-8
+
+
+def _segment_problems(model, rng, sizes):
+    lo, hi = model.domain
+    segs, samples = [], []
+    for n in sizes:
+        segs.append(SegmentClass(rng.uniform(lo, hi, n), rng.uniform(lo, hi, n), resolution=1.0 / 50))
+        target = np.zeros(n) if model.is_likelihood else rng.uniform(-1.0, 1.0, n)
+        samples.append(Sample(np.zeros((n, 1)), target))
+    return segs, samples
+
+
+def _reference_segment_lambda(model, a, b, target):
+    """Scalar derivative bisection, one np.mean of the gradient terms per step."""
+    if np.array_equal(a, b):
+        return 1.0
+
+    def deriv(lam):
+        return float(np.mean(grad_loss(model, lam * a + (1.0 - lam) * b, target) * (a - b)))
+
+    if deriv(0.0) >= 0.0:
+        return 0.0
+    if deriv(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if deriv(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_erm_segment_list_of_one_is_the_single_call(model, rng):
+    for n in (1, 7, 64, 64):
+        (seg,), (sample,) = _segment_problems(model, rng, [n])
+        (batched,) = erm_segment(model, [seg], [sample])
+        single = erm_segment(model, seg, sample)
+        assert batched[1:] == single[1:]
+        assert np.array_equal(batched[0], single[0])
+        target = None if model.is_likelihood else sample.y
+        assert single[2] == _reference_segment_lambda(model, seg.a, seg.b, target)
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.01)],
+                         ids=["square", "p3", "log"])
+def test_erm_segment_ragged_list_matches_single_calls(model, rng):
+    sizes = [int(n) for n in rng.integers(1, 90, 30)]
+    segs, samples = _segment_problems(model, rng, sizes)
+    fits = erm_segment(model, segs, samples)
+    assert len(fits) == 30
+    for seg, sample, (preds, risk, lam) in zip(segs, samples, fits):
+        # padding changes the derivative sums' rounding, so the bisection may end one float step apart
+        assert abs(lam - erm_segment(model, seg, sample)[2]) <= np.spacing(1.0)
+        target = None if model.is_likelihood else sample.y
+        assert erm_margin_check(model, seg.materialize(), target, preds, risk).violations == 0
+    assert erm_segment(model, [], []) == []
+    with pytest.raises(ValueError):
+        erm_segment(model, segs, samples[:-1])
 
 
 def test_erm_linear_descends_from_zero(rng):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from starloc.losses import (
+    bisect_root,
     canonical_modulus,
     eval_loss,
     exp_concavity_eta,
@@ -218,3 +219,13 @@ def test_glm_loss_floor_is_delta_over_k():
     assert m.domain[0] == pytest.approx(0.05)
     assert m.m == pytest.approx(math.log(20.0))
     assert m.eta == 1.0
+
+
+def test_array_bisect_root_equals_scalar_calls(rng):
+    # roots of x^3 + c x - v, with brackets of mixed widths and ends
+    c, v = rng.uniform(0.0, 2.0, 50), rng.uniform(-1.0, 3.0, 50)
+    lo, hi = rng.uniform(-2.0, 0.0, 50), rng.uniform(1.0, 3.0, 50)
+    batched = bisect_root(lambda x: x**3 + c * x < v, lo, hi)
+    singles = [bisect_root(lambda x: x**3 + c[i] * x < v[i], lo[i], hi[i]) for i in range(50)]
+    assert isinstance(singles[0], float)
+    np.testing.assert_array_equal(batched, singles)
