@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -374,7 +375,14 @@ def cmd_experiment(args) -> int:
         raise CliError(f"invalid experiment config: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_rate_experiment(config)
+    with warnings.catch_warnings():
+        # fit_rate warns once per dropped size; say it once per estimator instead.
+        warnings.filterwarnings("ignore", "dropping nonpositive mean excess")
+        result = run_rate_experiment(config)
+    for est, report in sorted(result.reports.items()):
+        dropped = [row.n for row in report.rows if row.mean <= 0.0]
+        if dropped:
+            print(f"warning: {est} rate fit dropped n = {dropped}", file=sys.stderr)
     (out_dir / "results.csv").write_text(results_csv(result), encoding="utf-8")
     fields = summary_dict(result)
     summary = dict(_header(config.seed, fields["config"]), estimators=fields["estimators"])

@@ -55,6 +55,8 @@ GOLDEN_TOL = 1e-10
 # Coordinate sweeps of erm_simplex; each solves its two 1-D slices exactly,
 # so the limit is rarely reached.
 _SIMPLEX_ROUNDS = 100
+# Step halvings tried per projected-descent step before the descent stops.
+_HALVINGS = 40
 # Partner-polish descent steps per round, and polish rounds per GLM fit.
 _POLISH_STEPS = 25
 _REFINE_ROUNDS = 3
@@ -571,37 +573,14 @@ def _square_risk_and_grad(W, X, y, want_grad: bool = True):
     return risk, grad
 
 
-def erm_linear(
-    model: LossModel,
-    ball: LinearBall,
-    sample: Sample,
-    steps: int = 500,
-    return_history: bool = False,
-):
-    """Projected gradient descent over the row-norm ball, started at W = 0.
+def _projected_descent(objective, ball, X, W, steps, stall_limit=8):
+    """Projected gradient descent over the row-norm ball from W; returns (W, risk history).
 
     Backtracking (halve on non-decrease) keeps the risk monotone; the
-    initial step is 1 / mean ||x||^2.
+    initial step is 1 / mean ||x||^2. It stops when no halving lowers the
+    risk, the step falls below 1e-18, W stops moving or stall_limit steps
+    in a row lower the risk by less than 1e-12 relative (None: never).
     """
-    X = sample.X
-    if X.shape[1] != ball.d:
-        raise ValueError("sample dimension does not match the ball")
-    if model.kind in ("glm", "log"):
-        y_idx = np.asarray(sample.y, dtype=int)
-
-        def objective(W, want_grad=True):
-            return _glm_risk_and_grad(W, X, y_idx, want_grad)
-
-    elif model.kind == "square":
-        y = np.asarray(sample.y, dtype=float)
-
-        def objective(W, want_grad=True):
-            return _square_risk_and_grad(W, X, y, want_grad)
-
-    else:
-        raise ValueError(f"erm_linear supports glm/square, not {model.kind}")
-
-    W = np.zeros((ball.k, ball.d))
     risk, grad = objective(W)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient at the initial point")
@@ -609,15 +588,15 @@ def erm_linear(
     history = [risk]
     stalled = 0
     for _ in range(steps):
-        accepted = False
-        for _ in range(60):
+        for _ in range(_HALVINGS):
             W_new = ball.project(W - h * grad)
             risk_new, _ = objective(W_new, want_grad=False)
             if risk_new <= risk:
-                accepted = True
                 break
             h *= 0.5
-        if not accepted or h < 1e-18:
+        else:
+            break
+        if h < 1e-18:
             break
         moved = float(np.max(np.abs(W_new - W)))
         drop = risk - risk_new
@@ -628,8 +607,33 @@ def erm_linear(
         history.append(risk)
         h *= 1.3
         stalled = stalled + 1 if drop < 1e-12 * (1.0 + abs(risk)) else 0
-        if stalled >= 8 or moved < 1e-13 * (1.0 + float(np.max(np.abs(W)))):
+        if stalled == stall_limit or moved < 1e-13 * (1.0 + float(np.max(np.abs(W)))):
             break
+    return W, history
+
+
+def erm_linear(
+    model: LossModel,
+    ball: LinearBall,
+    sample: Sample,
+    steps: int = 500,
+    return_history: bool = False,
+):
+    """Projected gradient descent over the row-norm ball, started at W = 0."""
+    X = sample.X
+    if X.shape[1] != ball.d:
+        raise ValueError("sample dimension does not match the ball")
+    if model.kind in ("glm", "log"):
+        risk_and_grad, y = _glm_risk_and_grad, np.asarray(sample.y, dtype=int)
+    elif model.kind == "square":
+        risk_and_grad, y = _square_risk_and_grad, np.asarray(sample.y, dtype=float)
+    else:
+        raise ValueError(f"erm_linear supports glm/square, not {model.kind}")
+
+    def objective(W, want_grad=True):
+        return risk_and_grad(W, X, y, want_grad)
+
+    W, history = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), steps)
     fitted = Linear(ball.project(W), ball.B, ball.delta)
     if return_history:
         return fitted, np.asarray(history)
@@ -658,31 +662,15 @@ def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = 
 
 
 def _partner_polish(ball, sample, f_hat_lik, lam, W, delta):
-    """Descent on the partner weights with the mixture likelihood fixed at lam."""
+    """Descent on the partner weights with the mixture likelihood fixed at lam; returns (W, risk history)."""
     X = sample.X
     y_idx = np.asarray(sample.y, dtype=int)
 
     def mixed_risk_grad(Wp, want_grad=True):
         return _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad)
 
-    W = np.atleast_2d(W).copy()
-    risk, grad = mixed_risk_grad(W)
-    h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
-    for _ in range(_POLISH_STEPS):
-        ok = False
-        for _ in range(40):
-            W_new = ball.project(W - h * grad)
-            r_new, _ = mixed_risk_grad(W_new, want_grad=False)
-            if r_new <= risk:
-                ok = True
-                break
-            h *= 0.5
-        if not ok:
-            break
-        W = W_new
-        risk, grad = mixed_risk_grad(W)
-        h *= 1.3
-    return W, risk
+    # No stall test: near lam = 1 the mixed risk falls by less than 1e-12 a step while the partner still descends.
+    return _projected_descent(mixed_risk_grad, ball, X, W, _POLISH_STEPS, stall_limit=None)
 
 
 def regularized_star_glm(

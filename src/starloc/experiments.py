@@ -55,8 +55,8 @@ _POSITIVE_FIELDS = ("B", "sigma", "noise")
 
 
 def _is_int(value) -> bool:
-    """An integer that is not a bool (JSON true is not a count)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """An integer that is not a bool (JSON true is not a count) and that a float can hold."""
+    return isinstance(value, (int, np.integer)) and _is_finite_real(value)
 
 
 def _is_finite_real(value) -> bool:

@@ -75,9 +75,12 @@ class Sample:
 
 
 class Predictor:
-    """Marker base class for predictors."""
+    """Base class: each predictor type has evaluate(sample); with_floor(delta) is its floored member."""
 
     __slots__ = ()
+
+    def with_floor(self, delta: float) -> Predictor:
+        raise ValueError("delta regularization applies to likelihood members")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +88,16 @@ class Constant(Predictor):
     """Constant prediction: a scalar, or a probability vector for GLM."""
 
     value: float | np.ndarray
+
+    def evaluate(self, sample: Sample) -> np.ndarray:
+        v = self.value
+        if isinstance(v, np.ndarray):
+            return v[np.asarray(sample.y, dtype=int)]
+        return np.full(sample.n, float(v))
+
+    def with_floor(self, delta: float) -> Constant:
+        v = self.value
+        return Constant(regularize_probs(v, delta) if isinstance(v, np.ndarray) else regularize_likelihood(v, delta))
 
     def describe(self) -> dict:
         v = self.value
@@ -99,6 +112,14 @@ class Tabular(Predictor):
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+
+    def evaluate(self, sample: Sample) -> np.ndarray:
+        if self.values.shape[0] != sample.n:
+            raise ValueError("tabular predictor does not match the sample size")
+        return self.values.copy()
+
+    def with_floor(self, delta: float) -> Tabular:
+        return Tabular(regularize_likelihood(self.values, delta))
 
     def describe(self) -> dict:
         return {"type": "tabular", "values": self.values.tolist()}
@@ -144,6 +165,17 @@ class Linear(Predictor):
             p = regularize_probs(p, self.delta)
         return p
 
+    def evaluate(self, sample: Sample) -> np.ndarray:
+        if self.k == 1:
+            return self.scores(sample.X)[:, 0]
+        p = self.probs(sample.X)
+        return p[np.arange(sample.n), np.asarray(sample.y, dtype=int)]
+
+    def with_floor(self, delta: float) -> Linear:
+        if self.k == 1:
+            return super().with_floor(delta)
+        return Linear(self.W, self.bound, delta)
+
     def describe(self) -> dict:
         # An unbounded member has no "bound", as in a class spec (JSON has no inf).
         bound = {} if np.isinf(self.bound) else {"bound": self.bound}
@@ -171,6 +203,11 @@ class StarMix(Predictor):
         """
         return self.lam * self.left.probs(X) + (1.0 - self.lam) * self.right.probs(X)
 
+    def evaluate(self, sample: Sample) -> np.ndarray:
+        a = prediction_vector(self.left, sample)
+        b = prediction_vector(self.right, sample)
+        return self.lam * a + (1.0 - self.lam) * b
+
     def describe(self) -> dict:
         return {
             "type": "star_mix",
@@ -182,26 +219,7 @@ class StarMix(Predictor):
 
 def prediction_vector(predictor: Predictor, sample: Sample) -> np.ndarray:
     """Vector of predictions (likelihoods for GLM) on a whole sample."""
-    n = sample.n
-    if isinstance(predictor, Constant):
-        v = predictor.value
-        if isinstance(v, np.ndarray):
-            return v[np.asarray(sample.y, dtype=int)]
-        return np.full(n, float(v))
-    if isinstance(predictor, Tabular):
-        if predictor.values.shape[0] != n:
-            raise ValueError("tabular predictor does not match the sample size")
-        return predictor.values.copy()
-    if isinstance(predictor, Linear):
-        if predictor.k == 1:
-            return predictor.scores(sample.X)[:, 0]
-        p = predictor.probs(sample.X)
-        return p[np.arange(n), np.asarray(sample.y, dtype=int)]
-    if isinstance(predictor, StarMix):
-        a = prediction_vector(predictor.left, sample)
-        b = prediction_vector(predictor.right, sample)
-        return predictor.lam * a + (1.0 - predictor.lam) * b
-    raise TypeError(f"unknown predictor type {type(predictor).__name__}")
+    return predictor.evaluate(sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,23 +245,7 @@ class FiniteClass:
 
     def effective_members(self) -> list[Predictor]:
         """Members with the class regularization baked in."""
-        if self.delta is None:
-            return list(self.members)
-        out = []
-        for m in self.members:
-            if isinstance(m, Constant):
-                v = m.value
-                if isinstance(v, np.ndarray):
-                    out.append(Constant(regularize_probs(v, self.delta)))
-                else:
-                    out.append(Constant(regularize_likelihood(v, self.delta)))
-            elif isinstance(m, Tabular):
-                out.append(Tabular(regularize_likelihood(m.values, self.delta)))
-            elif isinstance(m, Linear) and m.k > 1:
-                out.append(Linear(m.W, m.bound, self.delta))
-            else:
-                raise ValueError("delta regularization applies to likelihood members")
-        return out
+        return [m if self.delta is None else m.with_floor(self.delta) for m in self.members]
 
     def prediction_matrix(self, sample: Sample) -> np.ndarray:
         """(M, n) matrix of member predictions with regularization applied."""

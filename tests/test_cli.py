@@ -9,6 +9,7 @@ import pytest
 
 import starloc.cli
 from starloc.cli import load_class_spec, load_data_csv, main
+from starloc.experiments import ExperimentConfig
 from starloc.predictors import FiniteClass, LinearBall
 
 DATA = "x1,y\n0.0,0.5\n0.0,-0.3\n0.0,0.8\n0.0,0.1\n"
@@ -201,6 +202,20 @@ def test_experiment_parallel_identical(workdir):
                  "--out-dir", str(par), "--jobs", "2"]) == 0
     for name in ("results.csv", "summary.json", "plot.svg"):
         assert (serial / name).read_bytes() == (par / name).read_bytes()
+
+
+def test_experiment_names_dropped_rate_fit_sizes_on_one_line(workdir, capsys):
+    # At seed 6 the ERM picks the better constant at n = 16 and 128, so its mean excess there is 0.
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64, 128, 256], "replications": 1, "oracle_size": 100000,
+                               "seed": 6}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["experiment", "--name", "nonconvex_gap", "--config", str(cfg), "--out-dir", str(workdir / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: erm rate fit dropped n = [16, 128]\n"
+    rows = json.loads((workdir / "o" / "summary.json").read_text())["estimators"]["erm"]["rows"]
+    assert [n for n, mean, _ in rows if mean <= 0.0] == [16, 128]
 
 
 def test_experiment_unknown_name(workdir, capsys):
@@ -526,6 +541,24 @@ def test_class_spec_numbers_follow_one_rule(workdir, capsys, spec, field):
     _one_error_naming([*argv, "--class-spec", str(workdir / "bad.json"), "--out", str(workdir / "o.json")],
                       capsys, field)
     assert not (workdir / "o.json").exists()
+
+
+_INT_CONFIG_FIELDS = ("replications", "seed", "oracle_size", "d", "k", "members", "n_candidates", "jobs")
+
+
+@pytest.mark.parametrize("fields, field", [
+    *[({name: HUGE_INT}, name) for name in _INT_CONFIG_FIELDS],
+    ({"n_grid": [16, 32, HUGE_INT]}, "n_grid"),
+], ids=[*[f"huge-{name}" for name in _INT_CONFIG_FIELDS], "huge-n"])
+def test_experiment_config_integers_follow_one_rule(workdir, capsys, monkeypatch, fields, field):
+    # A config that got through would start a run with a huge count; fail before it does.
+    monkeypatch.setattr(starloc.cli, "run_rate_experiment", lambda config: pytest.fail("the run started"))
+    config = {"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, **fields}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ExperimentConfig(name="nonconvex_gap", **config)
+    (workdir / "exp.json").write_text(json.dumps(config))
+    _one_error_naming(["experiment", "--name", "nonconvex_gap", "--config", str(workdir / "exp.json"),
+                       "--out-dir", str(workdir / "o")], capsys, f"config: {field} ")
 
 
 @pytest.mark.parametrize("entropy, field", [

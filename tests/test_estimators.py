@@ -66,6 +66,34 @@ def test_prediction_vector_variants():
         prediction_vector(Linear(np.zeros((2, 3)), bound=1.0), sample)
 
 
+def test_with_floor_follows_the_regularization_formulas():
+    delta = 0.2
+    sample = Sample(np.array([[0.3, -0.1], [1.0, 2.0], [-0.5, 0.4]]), np.array([1, 0, 1]))
+    W = np.array([[0.5, 0.2], [-0.3, 0.1]])
+    members = [Constant(0.7), Constant(np.array([0.2, 0.8])), Tabular([0.1, 0.9, 0.4]), Linear(W, 1.0)]
+    floored = FiniteClass(members, delta=delta).effective_members()
+    assert floored[0].value == 0.8 * 0.7 + 0.2
+    np.testing.assert_array_equal(floored[1].value, 0.8 * np.array([0.2, 0.8]) + 0.1)
+    np.testing.assert_array_equal(floored[2].values, 0.8 * np.array([0.1, 0.9, 0.4]) + 0.2)
+    assert floored[3].delta == delta
+    np.testing.assert_array_equal(floored[3].W, W)
+    p = link_softmax(sample.X @ W.T)[[0, 1, 2], [1, 0, 1]]
+    expected = [[0.76] * 3, [0.74, 0.26, 0.74], [0.28, 0.92, 0.52], 0.8 * p + 0.1]
+    np.testing.assert_allclose(FiniteClass(members, delta=delta).prediction_matrix(sample), expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("member", [
+    Linear(np.array([[0.5, -0.25]]), bound=1.0),
+    StarMix(0.5, Constant(0.2), Constant(0.6)),
+], ids=["linear-k1", "star-mix"])
+def test_with_floor_rejects_non_likelihood_members(member):
+    cls = FiniteClass([Constant(0.5), member], delta=0.1)
+    with pytest.raises(ValueError, match="likelihood members"):
+        cls.effective_members()
+    with pytest.raises(ValueError, match="likelihood members"):
+        cls.prediction_matrix(Sample(np.zeros((2, 2)), np.array([0, 1])))
+
+
 def test_linear_rejects_rows_outside_ball():
     with pytest.raises(ValueError):
         Linear(np.array([[3.0, 4.0]]), bound=1.0)
@@ -509,6 +537,43 @@ def test_erm_linear_beats_random_search(rng):
 
     best_random = min(raw_risk(ball.random_member(rng).W) for _ in range(2000))
     assert raw_risk(fitted.W) <= best_random + 1e-3
+
+
+def _polish_problem(rng, n=96, delta=0.05):
+    ball = LinearBall(2, 2, 3.0, delta)
+    X = rng.standard_normal((n, 2))
+    y = (rng.random(n) < link_softmax(X @ np.array([[1.0, 0.5], [-1.0, -0.5]]).T)[:, 1]).astype(int)
+    f_hat_lik = prediction_vector(ball.random_member(rng), Sample(X, y))
+    return ball, Sample(X, y), f_hat_lik, ball.random_member(rng).W
+
+
+def test_partner_polish_descends_within_its_step_budget(rng):
+    ball, sample, f_hat_lik, W0 = _polish_problem(rng)
+    W, history = estimators._partner_polish(ball, sample, f_hat_lik, 0.4, W0, 0.05)
+    assert 2 <= len(history) <= estimators._POLISH_STEPS + 1
+    assert np.all(np.diff(history) <= 0.0)
+    assert np.all(np.linalg.norm(W, axis=1) <= 3.0 * (1 + 1e-12))
+    y_idx = np.asarray(sample.y, dtype=int)
+    risk, _ = estimators._mixed_risk_and_grad(W, sample.X, y_idx, f_hat_lik, 0.4, 0.05, want_grad=False)
+    assert risk == history[-1]
+
+
+def test_partner_polish_keeps_descending_when_each_step_is_tiny(rng):
+    # Near lam = 1 every step lowers the mixed risk by less than 1e-12 relative; the polish has no stall test.
+    ball, sample, f_hat_lik, W0 = _polish_problem(rng)
+    lam = 1.0 - 1e-7
+    W, history = estimators._partner_polish(ball, sample, f_hat_lik, lam, W0, 0.05)
+    assert len(history) == estimators._POLISH_STEPS + 1
+    drops = -np.diff(history)
+    assert np.all(drops >= 0.0) and np.all(drops < 1e-12 * (1.0 + np.asarray(history[1:])))
+    assert history[-1] < history[0] and not np.array_equal(W, W0)
+
+
+def test_partner_polish_rejects_a_non_finite_gradient(rng):
+    ball, sample, f_hat_lik, W0 = _polish_problem(rng)
+    f_hat_lik[3] = np.nan
+    with pytest.raises(FloatingPointError):
+        estimators._partner_polish(ball, sample, f_hat_lik, 0.4, W0, 0.05)
 
 
 def test_regularized_star_glm_contract(rng):
