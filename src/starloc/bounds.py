@@ -7,7 +7,7 @@ default 1; nothing is hidden inside the evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +26,6 @@ __all__ = [
 _QUAD_REL_TOL = 5e-7
 _QUAD_START = 257
 _QUAD_MAX = 1 << 20
-# Truncation floor for log-spaced quadrature when the lower limit is 0 and
-# the integrand has at most a logarithmic singularity.
-_TRUNC = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +85,60 @@ def _adaptive(f, grid_builder) -> float:
     return prev
 
 
-def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
-    """int_a^b sqrt(H2(s)) ds by adaptive trapezoid on a log-spaced grid.
+def _log_antiderivative(s: float, alpha: float, beta: float) -> float:
+    """F(s) = s (sqrt u + (sqrt(pi alpha)/2) erfcx(sqrt(u/alpha))), u = alpha ln(1/s) + beta.
 
-    Pure power-law profiles use the exact closed form, and finite_empirical
-    profiles are integrated piecewise between their covering radii. A zero
-    lower limit is handled by a power substitution that flattens the
-    singularity (power-law component) or by truncation at b * 1e-15 (at
-    most log-singular H).
+    For alpha > 0 and u >= 0, F' = sqrt(u) and F(0) = 0. erfcx(x) = e^{x^2} erfc(x), or from x = 26,
+    where e^{x^2} nears overflow, six terms of its asymptotic series (the seventh is below 2e-17 relative).
+    """
+    if s == 0.0:
+        return 0.0
+    u = beta - alpha * math.log(s)
+    x = math.sqrt(u / alpha)
+    if x < 26.0:
+        erfcx = math.exp(x * x) * math.erfc(x)
+    else:
+        h = 0.5 / (x * x)
+        erfcx = (1 - h * (1 - 3 * h * (1 - 5 * h * (1 - 7 * h * (1 - 9 * h * (1 - 11 * h)))))) / (x * math.sqrt(math.pi))
+    return s * (math.sqrt(u) + 0.5 * math.sqrt(math.pi * alpha) * erfcx)
+
+
+def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
+    """int_a^b sqrt(H2(s)) ds, exact except for the star-hull-corrected power law.
+
+    Between cuts at 1 and the covering radii or AB, every other profile has
+    H2 = alpha ln(1/s) + beta, whose root has the antiderivative
+    _log_antiderivative. The corrected power law takes an adaptive trapezoid
+    (stopping at 5e-7 relative change between doublings) on a log grid, or
+    for a = 0 after a power substitution that flattens the singularity.
     """
     if a < 0 or b < 0 or a > b:
         raise ValueError("integral limits must satisfy 0 <= a <= b")
     if a == b:
         return 0.0
 
-    if profile.variant == "power_law" and not profile.star_hull_correction:
+    if profile.variant != "power_law":
+        cuts = [a, b, 1.0] if profile.star_hull_correction else [a, b]
+        if profile.variant == "finite_empirical":
+            cuts.extend(profile.radii)
+        elif profile.variant == "parametric":
+            cuts.append(profile.A * profile.B)
+        cuts = np.unique(np.clip(cuts, a, b))
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        alpha = (mid < 1.0) * float(profile.star_hull_correction)
+        if profile.variant == "parametric":
+            # beta = kd ln(AB) makes u = 0 exactly at s = AB
+            kd = (mid < profile.A * profile.B) * float(profile.k * profile.d)
+            alpha, beta = alpha + kd, kd * math.log(profile.A * profile.B)
+        else:  # constant or finite_empirical: a step function
+            beta = entropy_eval(replace(profile, star_hull_correction=False), mid)
+        return math.fsum(
+            math.sqrt(be) * (r - l) if al == 0.0 else _log_antiderivative(r, al, be) - _log_antiderivative(l, al, be)
+            for l, r, al, be in zip(cuts[:-1].tolist(), cuts[1:].tolist(), alpha.tolist(), beta.tolist())
+        )
+    q = profile.q
+    if not profile.star_hull_correction:
         # sqrt(H(s)) = A^{q/2} s^{-q/2} integrates in closed form.
-        q = profile.q
         Aq = profile.A ** (q / 2.0)
         if q == 2.0:
             return math.inf if a == 0.0 else Aq * math.log(b / a)
@@ -116,10 +150,9 @@ def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
     def sqrt_h(s: np.ndarray) -> np.ndarray:
         return np.sqrt(entropy_eval(profile, s))
 
-    if a == 0.0 and profile.variant == "power_law":
+    if a == 0.0:
         # star-hull-corrected power law: substitute s = b t^r, r = 2/(2-q),
         # which flattens the s^{-q/2} singularity to a bounded integrand
-        q = profile.q
         if q >= 2.0:
             return math.inf
         r = 2.0 / (2.0 - q)
@@ -135,41 +168,7 @@ def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
 
         return _adaptive(f, lambda p: np.linspace(0.0, 1.0, p))
 
-    lo = max(a, b * _TRUNC)
-    cuts = np.array([lo, b])
-    stepped = profile.variant == "finite_empirical"
-    if stepped:
-        # The cover count is a step function that jumps at the covering
-        # radii, and the star-hull term has a kink at s = 1. Between these
-        # cuts the integrand is smooth.
-        cuts = np.unique(np.concatenate([cuts, profile.radii, [1.0]]))
-        cuts = cuts[(cuts >= lo) & (cuts <= b)]
-
-    def grid(p: int) -> np.ndarray:
-        pieces = []
-        for left, right in zip(cuts[:-1], cuts[1:]):
-            piece = np.exp(np.linspace(math.log(left), math.log(right), p))
-            if stepped:
-                # Evaluate on the open piece, where the cover count is constant.
-                piece[0], piece[-1] = np.nextafter(left, right), np.nextafter(right, left)
-            pieces.append(piece)
-        return np.concatenate(pieces)
-
-    return _adaptive(sqrt_h, grid)
-
-
-def _chaining_value(inputs: BoundInputs, alpha: float) -> float:
-    gamma = inputs.gamma
-    integral = entropy_integral(inputs.entropy, alpha, gamma)
-    if not math.isfinite(integral):
-        return math.inf
-    h_gamma = entropy_eval(inputs.entropy, gamma)
-    return (
-        4.0 * alpha
-        + 12.0 / math.sqrt(inputs.n) * integral
-        + _range_constant(inputs.m, inputs.eta) * h_gamma / inputs.n
-        + inputs.rho / math.sqrt(gamma**2 + inputs.n**2)
-    )
+    return _adaptive(sqrt_h, lambda p: np.exp(np.linspace(math.log(a), math.log(b), p)))
 
 
 def chaining_bound(inputs: BoundInputs) -> float:
@@ -194,7 +193,16 @@ def chaining_bound(inputs: BoundInputs) -> float:
         alpha = gamma if above(gamma) else bisect_root(above, 0.0, gamma)
     elif alpha > gamma or alpha < 0:
         raise ValueError("alpha must lie in [0, gamma]")
-    return _chaining_value(inputs, alpha)
+    integral = entropy_integral(inputs.entropy, alpha, gamma)
+    if not math.isfinite(integral):
+        return math.inf
+    h_gamma = entropy_eval(inputs.entropy, gamma)
+    return (
+        4.0 * alpha
+        + 12.0 / math.sqrt(inputs.n) * integral
+        + _range_constant(inputs.m, inputs.eta) * h_gamma / inputs.n
+        + inputs.rho / math.sqrt(gamma**2 + inputs.n**2)
+    )
 
 
 def glm_bound(inputs: BoundInputs, k: int, d: int, A: float, B: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import warnings
 from dataclasses import asdict
@@ -137,9 +138,9 @@ def _number(obj: dict, key: str, where: str, integer: bool = False):
     """obj[key] if it is a finite JSON number (an integer of at least 1, if integer); else a CliError."""
     value = obj.get(key)
     if integer and not (_is_int(value) and value >= 1):
-        raise CliError(f"{where}: {key!r} must be an integer of at least 1, not {value!r}")
+        raise CliError(f"{where}: {key!r} must be an integer of at least 1, not {reprlib.repr(value)}")
     if not _is_finite_real(value):
-        raise CliError(f"{where}: {key!r} must be a finite number, not {value!r}")
+        raise CliError(f"{where}: {key!r} must be a finite number, not {reprlib.repr(value)}")
     return value
 
 

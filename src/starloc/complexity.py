@@ -281,15 +281,25 @@ def finite_empirical_profile(vectors: np.ndarray, star_hull_correction: bool = F
     return EntropyProfile("finite_empirical", radii=radii, star_hull_correction=star_hull_correction)
 
 
+def _require_positive(variant: str, **fields) -> None:
+    for name, value in fields.items():
+        if not value > 0:
+            raise ValueError(f"{variant} entropy profile: {name!r} must be positive, not {value!r}")
+
+
 def parametric_profile(k: int, d: int, A: float, B: float, star_hull_correction: bool = False) -> EntropyProfile:
+    _require_positive("parametric", A=A, B=B, **{"A * B": A * B})  # A * B may underflow to 0
     return EntropyProfile("parametric", k=k, d=d, A=A, B=B, star_hull_correction=star_hull_correction)
 
 
 def power_law_profile(A: float, q: float, star_hull_correction: bool = False) -> EntropyProfile:
+    _require_positive("power_law", A=A, q=q)
     return EntropyProfile("power_law", A=A, q=q, star_hull_correction=star_hull_correction)
 
 
 def constant_profile(value: float, star_hull_correction: bool = False) -> EntropyProfile:
+    if not value >= 0:
+        raise ValueError(f"constant entropy profile: 'value' must be nonnegative, not {value!r}")
     return EntropyProfile("constant", value=value, star_hull_correction=star_hull_correction)
 
 

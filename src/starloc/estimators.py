@@ -617,7 +617,6 @@ def erm_linear(
     ball: LinearBall,
     sample: Sample,
     steps: int = 500,
-    return_history: bool = False,
 ):
     """Projected gradient descent over the row-norm ball, started at W = 0."""
     X = sample.X
@@ -633,11 +632,8 @@ def erm_linear(
     def objective(W, want_grad=True):
         return risk_and_grad(W, X, y, want_grad)
 
-    W, history = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), steps)
-    fitted = Linear(ball.project(W), ball.B, ball.delta)
-    if return_history:
-        return fitted, np.asarray(history)
-    return fitted
+    W, _ = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), steps)
+    return Linear(ball.project(W), ball.B, ball.delta)
 
 
 def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = True):

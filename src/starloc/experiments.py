@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -111,10 +112,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if isinstance(self.n_grid, (str, bytes)) or not np.iterable(self.n_grid):
-            raise ValueError(f"n_grid must be a list of sample sizes, not {self.n_grid!r}")
+            raise ValueError(f"n_grid must be a list of sample sizes, not {reprlib.repr(self.n_grid)}")
         for n in self.n_grid:
             if not _is_int(n) or n < 1:
-                raise ValueError(f"n_grid entries must be integers of at least 1, not {n!r}")
+                raise ValueError(f"n_grid entries must be integers of at least 1, not {reprlib.repr(n)}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if len(self.n_grid) < 3:
             raise ValueError(f"n_grid needs at least 3 sample sizes for a rate fit, not {len(self.n_grid)}")
@@ -125,18 +126,18 @@ class ExperimentConfig:
         for field, least in _INT_FIELDS.items():
             value = getattr(self, field)
             if not _is_int(value):
-                raise ValueError(f"{field} must be an integer, not {value!r}")
+                raise ValueError(f"{field} must be an integer, not {reprlib.repr(value)}")
             if value < least:
                 raise ValueError(f"{field} must be at least {least}")
         for field in _FLOAT_FIELDS:
             value = getattr(self, field)
             if not _is_finite_real(value):
-                raise ValueError(f"{field} must be a finite number, not {value!r}")
+                raise ValueError(f"{field} must be a finite number, not {reprlib.repr(value)}")
             if field in _POSITIVE_FIELDS and value <= 0:
-                raise ValueError(f"{field} must be positive, not {value!r}")
+                raise ValueError(f"{field} must be positive, not {reprlib.repr(value)}")
         delta = self.delta
         if not (delta is None or delta == "1/n" or (_is_finite_real(delta) and 0 < delta <= 0.5)):
-            raise ValueError(f'delta must be null, "1/n" or a number in (0, 1/2], not {delta!r}')
+            raise ValueError(f'delta must be null, "1/n" or a number in (0, 1/2], not {reprlib.repr(delta)}')
         if self.name == "nonconvex_gap":
             b = self.sigma / (4.0 * math.sqrt(self.n_grid[0]))
             if not b < self.c:
@@ -150,7 +151,7 @@ class ExperimentConfig:
         if self.W_true is not None:
             W = self.W_true.tolist() if isinstance(self.W_true, np.ndarray) else self.W_true
             if not _is_finite_array(W) or np.shape(W) != (self.k, self.d):
-                raise ValueError(f"W_true must be a {self.k} x {self.d} array of finite numbers, not {W!r}")
+                raise ValueError(f"W_true must be a {self.k} x {self.d} array of finite numbers, not {reprlib.repr(W)}")
             if self.name == "logistic_rate" and np.linalg.norm(W, axis=1).max() > self.B + 1e-9:
                 raise ValueError(f"W_true rows must have norm at most B = {self.B}")
             object.__setattr__(self, "W_true", tuple(map(tuple, W)))

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import starloc.bounds as bounds_module
 import starloc.complexity as complexity_module
 from starloc.bounds import (
-    _QUAD_MAX,
-    _QUAD_START,
     BoundInputs,
+    _log_antiderivative,
     bigglm_rate,
     chaining_bound,
     entropy_integral,
@@ -64,37 +64,108 @@ def test_entropy_integral_closed_form_matches_quadrature():
     assert quad == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), rel=1e-6)
 
 
-@pytest.mark.parametrize("star_hull", [False, True])
-def test_entropy_integral_finite_empirical_converges(monkeypatch, star_hull):
-    # 30 vectors at scales spread over [0.03, 1.2], so the cover count steps
-    # many times inside [0.05, 1]
-    rng = np.random.default_rng(7)
-    V = rng.standard_normal((30, 20)) * np.geomspace(0.03, 1.2, 30)[:, None]
-    prof = finite_empirical_profile(vectors=V, star_hull_correction=star_hull)
-    grids = []
+# 30 vectors at scales spread over [0.03, 1.2], so the cover count steps
+# many times inside [0.05, 1]
+STEPPED_V = np.random.default_rng(7).standard_normal((30, 20)) * np.geomspace(0.03, 1.2, 30)[:, None]
+# One profile of each closed-form family, with and without the star-hull
+# correction, and the cuts inside [0, 2] between which H2 = alpha ln(1/s) + beta.
+CLOSED_FORM = [
+    *[(prof, [1.0]) for prof in (constant_profile(4.0, True), constant_profile(0.0, True),
+                                  constant_profile(1e6, True), parametric_profile(1, 3, 2.0, 3.0, True))],
+    (constant_profile(4.0), []),
+    *[(parametric_profile(2, 2, 1.0, 0.25, corr), [0.25, 1.0]) for corr in (False, True)],
+    *[(prof, [*prof.radii, 1.0]) for prof in (finite_empirical_profile(STEPPED_V, corr) for corr in (False, True))],
+]
+CLOSED_FORM_IDS = ["constant-4-corr", "constant-0-corr", "constant-1e6-corr", "parametric-AB6-corr", "constant-4",
+                   "parametric-AB0.25", "parametric-AB0.25-corr", "finite", "finite-corr"]
 
-    def recording(profile, eps):
-        grids.append(np.size(eps))
-        return entropy_eval(profile, eps)
 
-    monkeypatch.setattr(bounds_module, "entropy_eval", recording)
-    got = entropy_integral(prof, 0.05, 1.0)
-    # one doubling suffices: every piece between covering radii is smooth
-    assert len(grids) == 2
-    pieces = grids[0] // _QUAD_START
-    assert grids[1] == pieces * (2 * _QUAD_START - 1) < _QUAD_MAX
-    # brute force: midpoint sum on 2^20 points; its error is below 1e-7 here
-    N = 1 << 20
-    h = 0.95 / N
-    brute = float(np.sqrt(entropy_eval(prof, 0.05 + h * (np.arange(N) + 0.5))).sum() * h)
-    assert got == pytest.approx(brute, rel=1e-6)
+@given(alpha=st.sampled_from([1.0, 2.0, 4.0, 5.0, 12.0]), beta=st.floats(0.0, 2e4),
+       s=st.floats(1e-6, 0.999))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_log_antiderivative_differentiates_to_the_root(alpha, beta, s):
+    # beta up to 2e4 puts u / alpha past 676, where erfcx takes its asymptotic series
+    h = 1e-5 * s
+    slope = (_log_antiderivative(s + h, alpha, beta) - _log_antiderivative(s - h, alpha, beta)) / (2 * h)
+    assert slope == pytest.approx(math.sqrt(alpha * math.log(1 / s) + beta), rel=1e-7)
+
+
+def test_log_antiderivative_series_meets_exp_erfc_where_erfcx_switches():
+    # at u / alpha = 26^2 erfcx(26) comes from its asymptotic series; e^{676} erfc(26) is still finite
+    direct = 26.0 + math.sqrt(math.pi) / 2.0 * math.exp(676.0) * math.erfc(26.0)
+    assert _log_antiderivative(1.0, 1.0, 676.0) == pytest.approx(direct, rel=1e-15)
+
+
+@pytest.mark.parametrize("prof, inner", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_entropy_integral_differentiates_to_the_root_inside_each_piece(prof, inner):
+    cuts = sorted({1e-4, 2.0, *(c for c in inner if 1e-4 < c < 2.0)})
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        s = math.sqrt(left * right)
+        h = 1e-6 * min(s - left, right - s)
+        slope = entropy_integral(prof, s - h, s + h) / (2 * h)
+        assert slope == pytest.approx(math.sqrt(entropy_eval(prof, s)), rel=1e-6, abs=1e-12)
+
+
+@given(case=st.sampled_from(range(len(CLOSED_FORM))), c=st.floats(-6.0, 0.3),
+       a_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.9)), b_frac=st.floats(0.001, 0.999))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_entropy_integral_is_additive(case, c, a_frac, b_frac):
+    prof = CLOSED_FORM[case][0]
+    c = 10.0**c
+    a = a_frac * c
+    b = a + b_frac * (c - a)
+    whole = entropy_integral(prof, a, c)
+    assert entropy_integral(prof, a, b) + entropy_integral(prof, b, c) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("prof, inner, tol", [
+    *[(prof, inner, 1e-11) for prof, inner in CLOSED_FORM[-2:]],  # finite_empirical
+    (constant_profile(3.0, True), [1.0], 1e-9),
+    # the root of u has infinite slope at u = 0 (s = AB), which slows the midpoint rule there
+    (parametric_profile(2, 2, 1.0, 0.25, True), [0.25, 1.0], 1e-7),
+], ids=["finite", "finite-corr", "constant-3-corr", "parametric-AB0.25-corr"])
+def test_entropy_integral_matches_a_fine_midpoint_sum(prof, inner, tol):
+    cuts = sorted({0.05, 1.0, *(c for c in inner if 0.05 < c < 1.0)})
+    N = 1 << 14
+    brute = 0.0
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        h = (right - left) / N
+        brute += math.fsum(np.sqrt(entropy_eval(prof, left + h * (np.arange(N) + 0.5))) * h)
+    assert entropy_integral(prof, 0.05, 1.0) == pytest.approx(brute, rel=tol)
+
+
+def test_entropy_integral_edge_cases():
+    half_sqrt_pi = math.sqrt(math.pi) / 2.0
+    # a = 0 in each family: int_0^c sqrt(kd ln(c/s)) ds = c sqrt(kd) sqrt(pi)/2
+    assert entropy_integral(constant_profile(4.0), 0.0, 0.3) == pytest.approx(0.6, rel=1e-15)
+    assert entropy_integral(parametric_profile(1, 1, 1.0, 1.0), 0.0, 1.0) == pytest.approx(half_sqrt_pi, rel=1e-14)
+    got = entropy_integral(parametric_profile(2, 3, 0.5, 0.5), 0.0, 2.0)
+    assert got == pytest.approx(0.25 * math.sqrt(6.0) * half_sqrt_pi, rel=1e-14)
+    stepped = finite_empirical_profile(STEPPED_V)
+    radii = [0.0, *sorted(set(stepped.radii[:-1].tolist()))]
+    steps = math.fsum(math.sqrt(math.log(1 + np.sum(stepped.radii[:-1] > l))) * (r - l)
+                      for l, r in zip(radii[:-1], radii[1:]))
+    assert entropy_integral(stepped, 0.0, radii[-1]) == pytest.approx(steps, rel=1e-14)
+    # AB = 0.25 inside (a, b): nothing above AB, and u = 0 at s = AB itself
+    prof = parametric_profile(2, 2, 1.0, 0.25)
+    assert entropy_integral(prof, 0.25, 2.0) == 0.0
+    assert entropy_integral(prof, 0.1, 2.0) == entropy_integral(prof, 0.1, 0.25) > 0.0
+    # a constant 1e6, corrected: sqrt(1e6 + L) expanded in L = ln(1/s), int_0^1 L^j ds = j!
+    series = 1e3 * (1.0 + 0.5e-6 - 0.25e-12 + 0.375e-18)
+    assert entropy_integral(constant_profile(1e6, True), 0.0, 1.0) == pytest.approx(series, rel=1e-14)
+    # a constant 0, corrected: u = 0 at s = 1, and int_{1/2}^1 sqrt(ln(1/s)) ds has a closed form by erf
+    zero = constant_profile(0.0, True)
+    expected = half_sqrt_pi * math.erf(math.sqrt(math.log(2.0))) - 0.5 * math.sqrt(math.log(2.0))
+    assert entropy_integral(zero, 0.5, 1.0) == pytest.approx(expected, rel=1e-14)
+    assert entropy_integral(zero, 0.5, 3.0) == entropy_integral(zero, 0.5, 1.0)
+    assert entropy_integral(zero, 1.0, 3.0) == 0.0
 
 
 def test_entropy_integral_zero_lower_limit():
     assert entropy_integral(power_law_profile(1.0, 1.0), 0.0, 1.0) == pytest.approx(2.0, rel=1e-12)
     # sqrt(ln(1/s)) integrates to sqrt(pi)/2 on (0, 1)
     got = entropy_integral(constant_profile(0.0, star_hull_correction=True), 0.0, 1.0)
-    assert got == pytest.approx(math.sqrt(math.pi) / 2.0, rel=2e-6)
+    assert got == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
     assert entropy_integral(power_law_profile(1.0, 2.0), 0.0, 1.0) == math.inf
     # corrected power law with a zero lower limit goes through the substitution
     got = entropy_integral(power_law_profile(1.0, 1.0, star_hull_correction=True), 0.0, 1.0)

@@ -498,13 +498,14 @@ HUGE_INT = 10**400
 
 
 def _one_error_naming(argv, capsys, field):
-    """main(argv), with every warning raised, exits 1 with one `error:` line naming field."""
+    """main(argv), with every warning raised, exits 1 with one short `error:` line naming field."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv)
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1 and len(lines) == 1, lines
     assert lines[0].startswith("error:") and field in lines[0], lines
+    assert len(lines[0]) < 200, lines  # a huge value is echoed shortened
 
 
 def _ball(**fields):
@@ -549,7 +550,8 @@ _INT_CONFIG_FIELDS = ("replications", "seed", "oracle_size", "d", "k", "members"
 @pytest.mark.parametrize("fields, field", [
     *[({name: HUGE_INT}, name) for name in _INT_CONFIG_FIELDS],
     ({"n_grid": [16, 32, HUGE_INT]}, "n_grid"),
-], ids=[*[f"huge-{name}" for name in _INT_CONFIG_FIELDS], "huge-n"])
+    ({"sigma": HUGE_INT}, "sigma"),
+], ids=[*[f"huge-{name}" for name in _INT_CONFIG_FIELDS], "huge-n", "huge-float-sigma"])
 def test_experiment_config_integers_follow_one_rule(workdir, capsys, monkeypatch, fields, field):
     # A config that got through would start a run with a huge count; fail before it does.
     monkeypatch.setattr(starloc.cli, "run_rate_experiment", lambda config: pytest.fail("the run started"))
@@ -571,6 +573,14 @@ def test_experiment_config_integers_follow_one_rule(workdir, capsys, monkeypatch
     # rejected at the parent too, now by the shared reader
     *[({"variant": "parametric", "k": v, "d": 2, "A": 1.0, "B": 3.0}, "'k'") for v in ("2", True)],
     *[({"variant": "parametric", "k": 2, "d": 2, "A": v, "B": 3.0}, "'A'") for v in GARBAGE_NUMBERS],
+    # out of range: a negative entropy, a complex power, a log of A B <= 0
+    ({"variant": "constant", "value": -5}, "'value'"),
+    ({"variant": "power_law", "A": -1, "q": 1.0}, "'A'"),
+    ({"variant": "power_law", "A": 1.0, "q": 0}, "'q'"),
+    ({"variant": "power_law", "A": 1.0, "q": -1.0, "star_hull_correction": True}, "'q'"),
+    ({"variant": "parametric", "k": 2, "d": 2, "A": -1.0, "B": 3.0}, "'A'"),
+    ({"variant": "parametric", "k": 2, "d": 2, "A": 1.0, "B": 0}, "'B'"),
+    ({"variant": "parametric", "k": 2, "d": 2, "A": 1e-300, "B": 1e-300}, "'A * B'"),
 ])
 @pytest.mark.parametrize("kind", ["packing", "chaining"])
 def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, field):
@@ -599,6 +609,7 @@ PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
     *[("glm", {**GLM_PARAMS, "k": v}, "'k'") for v in ("2", True)],
     *[("glm", {**GLM_PARAMS, "A": v}, "'A'") for v in GARBAGE_NUMBERS],
     ("glm", {**GLM_PARAMS, "B": HUGE_INT}, "'B'"),
+    ("chaining", {**PACKING_PARAMS, "gamma": 1.0, "n": HUGE_INT}, "'n'"),
 ])
 def test_bound_params_follow_one_rule(workdir, capsys, kind, params, field):
     path = workdir / "p.json"

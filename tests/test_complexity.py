@@ -200,6 +200,21 @@ def test_entropy_eval_variants(rng):
         entropy_eval(par, 0.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: constant_profile(-5.0), "'value'"),
+    (lambda: constant_profile(math.nan), "'value'"),
+    (lambda: parametric_profile(2, 2, -1.0, 3.0), "'A'"),
+    (lambda: parametric_profile(2, 2, 1.0, 0.0), "'B'"),
+    (lambda: parametric_profile(2, 2, 1e-300, 1e-300), "'A \\* B'"),
+    (lambda: power_law_profile(-1.0, 1.0), "'A'"),
+    (lambda: power_law_profile(1.0, 0.0), "'q'"),
+    (lambda: power_law_profile(1.0, -2.0, star_hull_correction=True), "'q'"),
+], ids=["negative-value", "nan-value", "negative-A", "zero-B", "underflow-AB", "negative-power-A", "zero-q", "negative-q"])
+def test_entropy_profile_out_of_range_names_the_field(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 @pytest.mark.parametrize("vectors", [
     [], [[]], 5.0, [0.1, 0.2], [[[0.1]]], [[0.1, np.nan]], [[0.1], [np.inf]], [[0.1, 0.2], [0.3]],
 ], ids=["empty", "empty-row", "scalar", "one-d", "three-d", "nan", "inf", "ragged"])
