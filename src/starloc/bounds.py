@@ -139,13 +139,14 @@ def entropy_integral(profile: EntropyProfile, a: float, b: float) -> float:
     q = profile.q
     if not profile.star_hull_correction:
         # sqrt(H(s)) = A^{q/2} s^{-q/2} integrates in closed form.
-        Aq = profile.A ** (q / 2.0)
-        if q == 2.0:
-            return math.inf if a == 0.0 else Aq * math.log(b / a)
         e = 1.0 - q / 2.0
-        if e < 0 and a == 0.0:
+        if e <= 0 and a == 0.0:
             return math.inf
-        return Aq * (b**e - (a**e if a > 0 else 0.0)) / e
+        try:
+            Aq = profile.A ** (q / 2.0)
+            return Aq * math.log(b / a) if e == 0 else Aq * (b**e - a**e) / e
+        except OverflowError:  # a power beyond the float range: so is the integral
+            return math.inf
 
     def sqrt_h(s: np.ndarray) -> np.ndarray:
         return np.sqrt(entropy_eval(profile, s))

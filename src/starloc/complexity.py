@@ -319,7 +319,8 @@ def entropy_eval(profile: EntropyProfile, eps: float | np.ndarray) -> float | np
     elif profile.variant == "parametric":
         h = np.maximum(profile.k * profile.d * np.log(profile.A * profile.B / e), 0.0)
     elif profile.variant == "power_law":
-        h = (profile.A / e) ** profile.q
+        with np.errstate(over="ignore"):  # an entropy beyond the float range is inf
+            h = (profile.A / e) ** profile.q
     elif profile.variant == "constant":
         h = np.full(e.shape, float(profile.value))
     else:

@@ -259,33 +259,25 @@ def _tangent(model: LossModel, x, diff, target, n):
     return slope, np.abs(terms, out=terms).sum(axis=1) / n
 
 
-def _segment_bounds(model: LossModel, block, erm_risk, risks):
+def _segment_bounds(model: LossModel, block, erm_risk):
     """Per segment of a block: a lower bound on its risk over [0, 1], a risk it attains, and a rounding allowance.
 
-    erm_risk and risks are the segments' risks at lam = 1 and lam = 0. The
-    risk f along a segment is convex. Where f'(1) <= 0, lam = 1 (the ERM
-    end) is its minimum, so the segment can only tie with the ERM: its
-    lower bound is +inf. Elsewhere the tangents of f lie below it: at
-    lam = 0, at lam = 1 and at two probes, the Newton step from lam = 1
-    and twice that step (clipped to [0, 1]), which often fall on either
-    side of the minimum. The lower bound is the minimum over [0, 1] of the
-    tangents' upper envelope, which lies at 0, at 1 or where two tangents
-    cross; the least probe risk is attained. The allowance covers the
-    rounding of all these sums, which grows with the size of their terms.
+    erm_risk holds the segments' risks at lam = 1. The risk f along a
+    segment is convex. Where f'(1) <= 0, lam = 1 (the ERM end) is its
+    minimum, so the segment can only tie with the ERM: its lower bound is
+    +inf. Elsewhere the tangents of f lie below it: at lam = 1 and at two
+    probes, the Newton step from lam = 1 and twice that step (clipped to
+    [0, 1]), which often fall on either side of the minimum. The lower
+    bound is the minimum over [0, 1] of the tangents' upper envelope, which
+    lies at 0, at 1 or where two tangents cross; the least probe risk is
+    attained. The allowance covers the rounding of all these sums, which
+    grows with the size of their terms.
     """
     _, a, preds, target, n = block
     diff = a - preds
     s1, size = _tangent(model, a, diff, target, n)
     up = s1 > 0.0
-    if not up.any():
-        return np.full(s1.shape, np.inf), np.full(s1.shape, np.inf), np.zeros(s1.shape)
-    s0, size0 = _tangent(model, preds, diff, target, n)
-    size += size0
-    # tangent lines value + slope * (lam - at); the probes start at lam = 1
-    value = np.stack([risks, erm_risk, erm_risk, erm_risk])
-    slope = np.stack([s0, s1, s1, s1])
-    at = np.ones((4, s1.size))
-    at[0] = 0.0
+    lower, attained = np.full(s1.shape, np.inf), np.full(s1.shape, np.inf)
     # The probes are taken on the rows where f'(1) > 0 only.
     _, a, preds, target, n = _block_rows(block, up)
     diff = diff[up]
@@ -293,22 +285,26 @@ def _segment_bounds(model: LossModel, block, erm_risk, risks):
         curv = (second_deriv_loss(model, a, target) * diff * diff).sum(axis=1) / n
         # fmax and fmin take a NaN step to 0; any probe in [0, 1] gives a valid tangent.
         step = np.fmin(np.fmax(s1[up] / curv, 0.0), 1.0)
-    for j, lam in ((2, 1.0 - step), (3, np.fmax(1.0 - 2.0 * step, 0.0))):
+    # tangent lines value + slope * (lam - at); the first is at lam = 1
+    value = np.tile(erm_risk[up], (3, 1))
+    slope = np.tile(s1[up], (3, 1))
+    at = np.ones(value.shape)
+    for j, lam in ((1, 1.0 - step), (2, np.fmax(1.0 - 2.0 * step, 0.0))):
         mix = lam[:, None] * a
         mix += (1.0 - lam[:, None]) * preds
-        at[j, up] = lam
-        value[j, up] = eval_loss(model, mix, target).sum(axis=1) / n
-        slope[j, up], size_probe = _tangent(model, mix, diff, target, n)
+        at[j] = lam
+        value[j] = eval_loss(model, mix, target).sum(axis=1) / n
+        slope[j], size_probe = _tangent(model, mix, diff, target, n)
         size[up] += size_probe
     offset = value - slope * at
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = [(offset[j] - offset[i]) / (slope[i] - slope[j]) for i, j in itertools.combinations(range(4), 2)]
-    lams = np.stack([at[0], at[1], *cross])
+        cross = [(offset[j] - offset[i]) / (slope[i] - slope[j]) for i, j in itertools.combinations(range(3), 2)]
+    lams = np.stack([np.zeros(at.shape[1]), at[0], *cross])
     # A crossing outside [0, 1] (or of parallel tangents) is replaced by lam = 1, already listed.
     lams = np.where((lams >= 0.0) & (lams <= 1.0), lams, 1.0)
     envelope = (value[:, None] + slope[:, None] * (lams[None] - at[:, None])).max(axis=0)
-    allowance = _SCREEN_TOL * (1.0 + np.abs(erm_risk) + np.abs(risks) + size)
-    return np.where(up, envelope.min(axis=0), np.inf), value[2:].min(axis=0), allowance
+    lower[up], attained[up] = envelope.min(axis=0), value[1:].min(axis=0)
+    return lower, attained, _SCREEN_TOL * (1.0 + np.abs(erm_risk) + size)
 
 
 def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
@@ -336,7 +332,6 @@ def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
     if keep.all():
         return list(blocks), np.arange(keep.size), np.flatnonzero(tied)
     owner = np.repeat(np.arange(sizes.size), sizes)
-    row_risks = np.concatenate(risks)
     erm_risk = np.array([r[i] for r, i in zip(risks, erm_idx)])
     cut = []
     # Each block is cut as soon as it is built, so the full blocks are never all held at once.
@@ -344,7 +339,7 @@ def _screen_segments(model: LossModel, blocks, risks: list, erm_idx: list):
         rows = block[0]
         k = keep[rows]
         if not k.all():
-            lower, attained, allowance = _segment_bounds(model, block, erm_risk[owner[rows]], row_risks[rows])
+            lower, attained, allowance = _segment_bounds(model, block, erm_risk[owner[rows]])
             best = erm_risk.copy()  # a problem's segments all lie in one block
             np.minimum.at(best, owner[rows], attained)
             tied[rows] = ~k & (lower == np.inf)

@@ -139,7 +139,7 @@ class ExperimentConfig:
         if not (delta is None or delta == "1/n" or (_is_finite_real(delta) and 0 < delta <= 0.5)):
             raise ValueError(f'delta must be null, "1/n" or a number in (0, 1/2], not {reprlib.repr(delta)}')
         if self.name == "nonconvex_gap":
-            b = self.sigma / (4.0 * math.sqrt(self.n_grid[0]))
+            b = _twopoint_shift(self.sigma, self.n_grid[0])
             if not b < self.c:
                 raise ValueError(f"c must exceed sigma / (4 sqrt(n)) = {b} at the smallest n = {self.n_grid[0]}")
         if self.name == "ploss_rate":
@@ -350,30 +350,34 @@ def fit_rate(rows) -> tuple[float, float, float]:
 # per-replication runners (module level so process pools can pickle the work)
 
 
-def _twopoint_draws(config: ExperimentConfig, n: int, out: np.ndarray) -> None:
-    """Fill out with the standard normals of the size-n square-loss oracle.
+def _twopoint_shift(sigma: float, n: int) -> float:
+    """The target mean b = sigma / (4 sqrt(n)) of the size-n two-point instance."""
+    return sigma / (4.0 * math.sqrt(n))
 
-    Runs on _block_nonconvex's draw thread, so it calls no layer function
-    that bench/tracer.py wraps: the tracer keeps one span stack for all
-    threads.
+
+def _twopoint_target_mean(config: ExperimentConfig, n: int, model: LossModel, z: np.ndarray) -> float:
+    """Mean of the size-n square-loss oracle's targets b + sigma * clip(z, -8, 8).
+
+    The normals are drawn into z, which is then turned into the targets in
+    place, element by element the same operations as that formula. Runs on
+    _block_nonconvex's worker thread, so it calls no layer function that
+    bench/tracer.py wraps: the tracer keeps one span stack for all threads.
     """
-    seeded_rng(config.seed, n, _ORACLE_TAG).standard_normal(out=out)
-
-
-def _twopoint_oracle(config: ExperimentConfig, b: float, model: LossModel, z: np.ndarray) -> AtomOracle:
-    """Square-loss oracle for constant predictors: only the target mean matters.
-
-    z holds the size-n oracle's normals (_twopoint_draws) and is turned in
-    place into the targets b + sigma * clip(z, -8, 8), element by element
-    the same operations as that formula. mean((v - y)^2) = (v - ybar)^2 +
-    var(y), and var(y) is the same for every constant, so one atom at ybar
-    scores every excess exactly.
-    """
+    seeded_rng(config.seed, n, _ORACLE_TAG).standard_normal(out=z)
     np.clip(z, -8.0, 8.0, out=z)
     z *= config.sigma
-    z += b
+    z += _twopoint_shift(config.sigma, n)
     model.check_target(z)
-    return _atom_oracle(model, [float(np.mean(z))], [1.0])
+    return float(np.mean(z))
+
+
+def _twopoint_oracle(model: LossModel, mean: float) -> AtomOracle:
+    """Square-loss oracle for constant predictors: only the target mean matters.
+
+    mean((v - y)^2) = (v - ybar)^2 + var(y), and var(y) is the same for
+    every constant, so one atom at ybar scores every excess exactly.
+    """
+    return _atom_oracle(model, [mean], [1.0])
 
 
 def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
@@ -414,11 +418,11 @@ def _logistic_oracle(config: ExperimentConfig):
 def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
     """Records of the nonconvex_gap cells.
 
-    One worker thread draws each sample size's oracle normals into one
-    reused buffer while this thread fits that size's replications (numpy
-    releases the GIL during the fill). The buffer is reduced to its atom
-    before the next size's draw is submitted, so the records do not depend
-    on the scheduling, and the pool is shut down before the block returns.
+    Every sample size's oracle target mean is submitted up front to one
+    worker thread, which draws them in turn into one buffer (numpy releases
+    the GIL during the fill) while this thread fits the replications. Only
+    the worker touches the buffer, so the records do not depend on the
+    scheduling, and the pool is shut down before the block returns.
     """
     if not cells:
         return []
@@ -428,18 +432,15 @@ def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
     z = np.empty(config.oracle_size)
     out = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        draw = pool.submit(_twopoint_draws, config, groups[0][0], z)
-        for i, (n, reps) in enumerate(groups):
-            b = config.sigma / (4.0 * math.sqrt(n))
+        means = [pool.submit(_twopoint_target_mean, config, n, model, z) for n, _ in groups]
+        for (n, reps), mean in zip(groups, means):
+            b = _twopoint_shift(config.sigma, n)
             fits = []
             for rep in reps:
                 sample, cls = gen_twopoint_data(n, config.c, b, config.sigma, (config.seed, n, rep, _DATA_TAG))
                 fit = star_fit(model, cls, sample)
                 fits.append((fit.erm, fit.combined))
-            draw.result()
-            oracle = _twopoint_oracle(config, b, model, z)
-            if i + 1 < len(groups):
-                draw = pool.submit(_twopoint_draws, config, groups[i + 1][0], z)
+            oracle = _twopoint_oracle(model, mean.result())
             hull_opt = Constant(b)
             for rep, (erm, combined) in zip(reps, fits):
                 out.append(("erm", n, rep, population_excess_risk(model, erm, oracle, f_star=best_member)))

@@ -592,6 +592,22 @@ def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, fi
     assert not (workdir / "b.json").exists()
 
 
+@pytest.mark.parametrize("kind, corrected, alpha", [
+    ("chaining", False, 0.5), ("chaining", True, 0.5), ("chaining", False, None), ("packing", False, None),
+], ids=["chaining", "corrected", "free-alpha", "packing"])
+def test_overflowing_power_law_diverges(workdir, capsys, kind, corrected, alpha):
+    # (A / s)^q and A^{q/2} overflow a float: the entropy and its integral are inf.
+    params = {"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
+              "entropy": {"variant": "power_law", "A": 1e300, "q": 3, "star_hull_correction": corrected}}
+    if alpha is not None:
+        params["alpha"] = alpha
+    path = workdir / "p.json"
+    path.write_text(json.dumps(params))
+    _one_error_naming(["bound", "--kind", kind, "--params", str(path), "--out", str(workdir / "b.json")],
+                      capsys, f"error: {kind} bound diverges")
+    assert not (workdir / "b.json").exists()
+
+
 GLM_PARAMS = {"n": 1000, "rho": 0.05, "k": 2, "d": 2, "A": 1.0, "B": 3.0}
 PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
                   "entropy": {"variant": "constant", "value": 10.0}}

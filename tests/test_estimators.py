@@ -304,7 +304,7 @@ def test_segment_screen_keeps_ragged_batch_results(model, rng, monkeypatch):
     classes, samples = _star_problems(model, rng, sizes)
     screened = star_fit(model, classes, samples)
 
-    def no_screen(model, block, erm_risk, risks):
+    def no_screen(model, block, erm_risk):
         rows = block[0].size
         return np.full(rows, -np.inf), np.full(rows, np.inf), np.zeros(rows)
 

@@ -272,7 +272,7 @@ def test_overlapped_oracle_draws_match_serial_draws(seed):
 
 
 @pytest.mark.parametrize("layer, at_second_size", [
-    ("_twopoint_draws", lambda config, n, out: n == 64),  # on the worker thread
+    ("_twopoint_target_mean", lambda config, n, model, z: n == 64),  # on the worker thread
     ("star_fit", lambda model, cls, sample: len(sample.y) == 64),  # on the main thread
 ], ids=["worker-draw", "main-fit"])
 def test_nonconvex_errors_propagate_and_leave_no_thread(monkeypatch, layer, at_second_size):
@@ -292,6 +292,33 @@ def test_nonconvex_errors_propagate_and_leave_no_thread(monkeypatch, layer, at_s
         run_rate_experiment(cfg)
     assert info.value is error
     assert threading.active_count() == before
+
+
+def test_nonconvex_fits_need_not_wait_for_the_oracle(monkeypatch):
+    # The worker takes every size's oracle mean in turn without the main
+    # thread: a first fit that blocks until the last size is done must not
+    # stall the run.
+    cfg = ExperimentConfig(name="nonconvex_gap", n_grid=(32, 64, 128), replications=2, seed=1,
+                           oracle_size=100_000)
+    cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+    done, all_done = [], threading.Event()
+    target_mean, fit = experiments._twopoint_target_mean, experiments.star_fit
+
+    def recording_target_mean(config, n, model, z):
+        mean = target_mean(config, n, model, z)
+        done.append(n)
+        if len(done) == len(cfg.n_grid):
+            all_done.set()
+        return mean
+
+    def waiting_fit(model, cls, sample):
+        assert all_done.wait(timeout=10.0), f"the worker finished only n = {done} while the first fit waited"
+        return fit(model, cls, sample)
+
+    monkeypatch.setattr(experiments, "_twopoint_target_mean", recording_target_mean)
+    monkeypatch.setattr(experiments, "star_fit", waiting_fit)
+    assert experiments._block_nonconvex(cfg, cells) == _serial_nonconvex_records(cfg, cells)
+    assert done == list(cfg.n_grid)
 
 
 def test_ploss_compressed_oracle_is_exact():
