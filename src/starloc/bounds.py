@@ -74,12 +74,13 @@ def _trapezoid(f, grid: np.ndarray) -> float:
 
 
 def _adaptive(f, grid_builder) -> float:
+    """Trapezoid sums on doubling grids until two agree; a non-finite sum is returned at once."""
     pts = _QUAD_START
     prev = _trapezoid(f, grid_builder(pts))
-    while pts < _QUAD_MAX:
+    while pts < _QUAD_MAX and math.isfinite(prev):
         pts = 2 * pts - 1
         cur = _trapezoid(f, grid_builder(pts))
-        if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1e-300):
+        if not math.isfinite(cur) or abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     return prev

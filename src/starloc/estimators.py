@@ -571,8 +571,10 @@ def _square_risk_and_grad(W, X, y, want_grad: bool = True):
 def _projected_descent(objective, ball, X, W, steps, stall_limit=8):
     """Projected gradient descent over the row-norm ball from W; returns (W, risk history).
 
-    Backtracking (halve on non-decrease) keeps the risk monotone; the
-    initial step is 1 / mean ||x||^2. It stops when no halving lowers the
+    objective(W) returns the risk and its gradient, once per trial point:
+    an accepted point keeps the pair it was tried with. Backtracking (halve
+    on non-decrease) keeps the risk monotone; the initial step is
+    1 / mean ||x||^2. It stops when no halving lowers the
     risk, the step falls below 1e-18, W stops moving or stall_limit steps
     in a row lower the risk by less than 1e-12 relative (None: never).
     """
@@ -585,7 +587,7 @@ def _projected_descent(objective, ball, X, W, steps, stall_limit=8):
     for _ in range(steps):
         for _ in range(_HALVINGS):
             W_new = ball.project(W - h * grad)
-            risk_new, _ = objective(W_new, want_grad=False)
+            risk_new, grad_new = objective(W_new)
             if risk_new <= risk:
                 break
             h *= 0.5
@@ -595,8 +597,7 @@ def _projected_descent(objective, ball, X, W, steps, stall_limit=8):
             break
         moved = float(np.max(np.abs(W_new - W)))
         drop = risk - risk_new
-        W = W_new
-        risk, grad = objective(W)
+        W, risk, grad = W_new, risk_new, grad_new
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError("non-finite gradient during descent")
         history.append(risk)
@@ -624,8 +625,8 @@ def erm_linear(
     else:
         raise ValueError(f"erm_linear supports glm/square, not {model.kind}")
 
-    def objective(W, want_grad=True):
-        return risk_and_grad(W, X, y, want_grad)
+    def objective(W):
+        return risk_and_grad(W, X, y)
 
     W, _ = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), steps)
     return Linear(ball.project(W), ball.B, ball.delta)
@@ -657,8 +658,8 @@ def _partner_polish(ball, sample, f_hat_lik, lam, W, delta):
     X = sample.X
     y_idx = np.asarray(sample.y, dtype=int)
 
-    def mixed_risk_grad(Wp, want_grad=True):
-        return _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad)
+    def mixed_risk_grad(Wp):
+        return _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta)
 
     # No stall test: near lam = 1 the mixed risk falls by less than 1e-12 a step while the partner still descends.
     return _projected_descent(mixed_risk_grad, ball, X, W, _POLISH_STEPS, stall_limit=None)

@@ -392,27 +392,40 @@ def _logistic_oracle(config: ExperimentConfig):
 
     Returns (X, bounds, ref_loss): rows bounds[c]:bounds[c + 1] of X are the
     oracle points labelled c, in draw order, and ref_loss is the mean
-    negative log-likelihood of the true parameter over the draws. Labels
-    and likelihoods are taken _ORACLE_CHUNK rows at a time; every row's
-    values are the same as from the whole matrix at once.
+    negative log-likelihood of the true parameter over the draws. Rows are
+    clipped, labelled, scored and moved into place _ORACLE_CHUNK at a time,
+    so every row's values are the same as from the whole matrix at once,
+    and at most two oracle-sized float arrays are live at once: the draws, and either
+    the (2, N) block of uniforms and likelihoods or the sorted copy.
     """
     W = config.w_true()
+    size = config.oracle_size
     rng = seeded_rng(config.seed, _ORACLE_TAG)
-    X = clip_rows(rng.standard_normal((config.oracle_size, config.d)), 10.0)
-    u = rng.random(config.oracle_size)
-    y = np.empty(config.oracle_size, dtype=int)
-    nll = np.empty(config.oracle_size)
-    for start in range(0, config.oracle_size, _ORACLE_CHUNK):
+    X = rng.standard_normal((size, config.d))
+    # One (2, N) block: as two length-N arrays, u and nll raised the logistic benchmark's peak RSS by 5 MB.
+    u_nll = np.empty((2, size))
+    u, nll = u_nll
+    rng.random(out=u)
+    y = np.empty(size, dtype=np.min_scalar_type(config.k - 1))
+    for start in range(0, size, _ORACLE_CHUNK):
         rows = slice(start, start + _ORACLE_CHUNK)
-        probs = link_softmax(X[rows] @ W.T)
-        y[rows] = _draw_labels(probs, u[rows])
-        nll[rows] = -np.log(probs[np.arange(probs.shape[0]), y[rows]])
+        probs = link_softmax(clip_rows(X[rows], 10.0) @ W.T)
+        labels = _draw_labels(probs, u[rows])
+        y[rows] = labels
+        nll[rows] = -np.log(probs[np.arange(probs.shape[0]), labels])
     ref_loss = float(np.mean(nll))
-    del u, nll  # release the length-N temporaries before the sorted copy
+    del u_nll, u, nll
     bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=config.k))))
-    # A stable sort of 8- or 16-bit labels is a radix sort.
-    order = np.argsort(y.astype(np.min_scalar_type(config.k - 1)), kind="stable")
-    return X.take(order, axis=0), bounds, ref_loss
+    X_sorted = np.empty_like(X)
+    ends = bounds[:-1].copy()  # the next free row of each label block
+    for start in range(0, size, _ORACLE_CHUNK):
+        rows = slice(start, start + _ORACLE_CHUNK)
+        for c in range(config.k):
+            keep = y[rows] == c
+            count = int(np.count_nonzero(keep))
+            np.compress(keep, X[rows], axis=0, out=X_sorted[ends[c]:ends[c] + count])
+            ends[c] += count
+    return X_sorted, bounds, ref_loss
 
 
 def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
@@ -504,22 +517,32 @@ def _oracle_losses(W_left, W_right, lam: float, X, bounds, delta: float, k: int,
     return float(np.mean(nll_left)), float(np.mean(nll_mix))
 
 
+def _logistic_fit(config: ExperimentConfig, ball: LinearBall, W_true, n: int, rep: int) -> tuple:
+    """(n, rep, delta, erm W, partner W, lam) of one cell's fit: all that scoring it needs."""
+    delta = config.delta_at(n)
+    sample = gen_logistic_data(n, config.d, config.k, config.B, W_true, (config.seed, n, rep, _DATA_TAG))
+    fit = regularized_star_glm(
+        glm_loss(config.k, delta), ball, sample, delta, n_candidates=config.n_candidates,
+        seed=_mix_seed(config.seed, n, rep),
+    )
+    return n, rep, delta, fit.erm.W, fit.partner.W, fit.lam
+
+
 def _block_logistic(config: ExperimentConfig, cells: list) -> list:
+    """Records of the logistic_rate cells.
+
+    Every cell is fitted before the oracle is built, and only the weights
+    and lam of each fit are kept, so the fits' n-length arrays are freed
+    before the oracle and its score buffers are allocated.
+    """
     ball = LinearBall(config.d, config.k, config.B)
-    X, bounds, ref_loss = _logistic_oracle(config)
     W_true = config.w_true()
+    fits = [_logistic_fit(config, ball, W_true, n, rep) for n, rep in cells]
+    X, bounds, ref_loss = _logistic_oracle(config)
     buffers = np.empty((2, X.shape[0]))  # every cell's oracle scores
     out = []
-    for n, rep in cells:
-        delta = config.delta_at(n)
-        model = glm_loss(config.k, delta)
-        sample = gen_logistic_data(
-            n, config.d, config.k, config.B, W_true, (config.seed, n, rep, _DATA_TAG)
-        )
-        fit = regularized_star_glm(
-            model, ball, sample, delta, n_candidates=config.n_candidates, seed=_mix_seed(config.seed, n, rep)
-        )
-        loss_erm, loss_star = _oracle_losses(fit.erm.W, fit.partner.W, fit.lam, X, bounds, delta, config.k, buffers)
+    for n, rep, delta, W_erm, W_partner, lam in fits:
+        loss_erm, loss_star = _oracle_losses(W_erm, W_partner, lam, X, bounds, delta, config.k, buffers)
         out.append(("erm", n, rep, loss_erm - ref_loss))
         out.append(("star", n, rep, loss_star - ref_loss))
     return out

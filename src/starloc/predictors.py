@@ -248,10 +248,14 @@ class FiniteClass:
         return [m if self.delta is None else m.with_floor(self.delta) for m in self.members]
 
     def prediction_matrix(self, sample: Sample) -> np.ndarray:
-        """(M, n) matrix of member predictions with regularization applied."""
-        return np.vstack(
-            [prediction_vector(m, sample) for m in self.effective_members()]
-        )
+        """(M, n) matrix of member predictions with regularization applied.
+
+        A class of scalar constants is one broadcast of the member values.
+        """
+        members = self.effective_members()
+        if all(isinstance(m, Constant) and not isinstance(m.value, np.ndarray) for m in members):
+            return np.repeat(np.array([float(m.value) for m in members])[:, None], sample.n, axis=1)
+        return np.vstack([prediction_vector(m, sample) for m in members])
 
 
 @dataclass(frozen=True, eq=False)

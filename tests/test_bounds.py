@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starloc.bounds as bounds_module
 import starloc.complexity as complexity_module
 from starloc.bounds import (
     BoundInputs,
@@ -170,6 +171,23 @@ def test_entropy_integral_zero_lower_limit():
     # corrected power law with a zero lower limit goes through the substitution
     got = entropy_integral(power_law_profile(1.0, 1.0, star_hull_correction=True), 0.0, 1.0)
     assert got > 2.0  # correction only adds entropy
+
+
+def test_overflowing_corrected_power_law_stops_at_the_first_infinite_grid(monkeypatch):
+    # (A / s)^q overflows for A = 1e300: every trapezoid sum is inf, and no later grid can change that.
+    # q = 1.5 with a = 0 takes the power substitution (q >= 2 diverges there before any grid).
+    grids = []
+    trapezoid = bounds_module._trapezoid
+
+    def counted(f, grid):
+        grids.append(grid.size)
+        return trapezoid(f, grid)
+
+    monkeypatch.setattr(bounds_module, "_trapezoid", counted)
+    for q, a in ((3.0, 0.5), (1.5, 0.0)):
+        grids.clear()
+        assert entropy_integral(power_law_profile(1e300, q, star_hull_correction=True), a, 1.0) == math.inf
+        assert 1 <= len(grids) <= 2
 
 
 def test_chaining_worked_example():

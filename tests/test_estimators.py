@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starloc import estimators
+from starloc import estimators, predictors
 from starloc.estimators import (
     _glm_risk_and_grad,
     _projected_descent,
@@ -82,6 +82,18 @@ def test_with_floor_follows_the_regularization_formulas():
     p = link_softmax(sample.X @ W.T)[[0, 1, 2], [1, 0, 1]]
     expected = [[0.76] * 3, [0.74, 0.26, 0.74], [0.28, 0.92, 0.52], 0.8 * p + 0.1]
     np.testing.assert_allclose(FiniteClass(members, delta=delta).prediction_matrix(sample), expected, rtol=1e-15)
+
+
+def test_scalar_constant_class_matrix_is_one_broadcast(monkeypatch):
+    sample = Sample(np.zeros((5, 1)), np.zeros(5))
+    for delta in (None, 0.2):
+        cls = FiniteClass([Constant(0.7), Constant(1), Constant(np.float64(0.25))], delta=delta)
+        expected = np.vstack([prediction_vector(m, sample) for m in cls.effective_members()])
+        with monkeypatch.context() as patch:
+            patch.setattr(predictors, "prediction_vector", None)  # not called member by member
+            got = cls.prediction_matrix(sample)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("member", [
@@ -497,6 +509,74 @@ def _glm_descent_history(ball, X, y):
         return _glm_risk_and_grad(W, X, y, want_grad)
 
     return np.asarray(_projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), 500)[1])
+
+
+def _descent_evaluating_accepted_points_twice(objective, ball, X, W, steps, stall_limit=8):
+    """Reference copy of _projected_descent that tries each point for its risk alone and
+    evaluates an accepted point again for its gradient; also returns the number of trial points."""
+    risk, grad = objective(W)
+    h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
+    history, stalled, trials = [risk], 0, 0
+    for _ in range(steps):
+        for _ in range(estimators._HALVINGS):
+            W_new = ball.project(W - h * grad)
+            risk_new, _ = objective(W_new, want_grad=False)
+            trials += 1
+            if risk_new <= risk:
+                break
+            h *= 0.5
+        else:
+            break
+        if h < 1e-18:
+            break
+        moved = float(np.max(np.abs(W_new - W)))
+        drop = risk - risk_new
+        W = W_new
+        risk, grad = objective(W)
+        history.append(risk)
+        h *= 1.3
+        stalled = stalled + 1 if drop < 1e-12 * (1.0 + abs(risk)) else 0
+        if stalled == stall_limit or moved < 1e-13 * (1.0 + float(np.max(np.abs(W)))):
+            break
+    return W, history, trials
+
+
+def _descent_problems():
+    """Seeded GLM-ERM and partner-polish objectives: (objective, ball, X, W0, steps, stall_limit)."""
+    rng = np.random.default_rng(2024)
+    for k, B, scale in ((2, 5.0, 1.0), (3, 2.0, 3.0), (2, 50.0, 0.5)):
+        X = scale * rng.standard_normal((96, 2))
+        y = rng.integers(0, k, 96)
+        y[X[:, 0] > 1.0] = 0  # a partly separable class pushes some steps to the ball's boundary
+        yield (lambda W, want_grad=True, X=X, y=y: _glm_risk_and_grad(W, X, y, want_grad),
+               LinearBall(2, k, B), X, np.zeros((k, 2)), 500, 8)
+    for lam, delta in ((0.3, 0.05), (0.9, 0.01)):
+        X = rng.standard_normal((80, 2))
+        y = rng.integers(0, 2, 80)
+        f_hat_lik = rng.uniform(0.05, 0.95, 80)
+        ball = LinearBall(2, 2, 3.0, delta)
+
+        def mixed(W, want_grad=True, X=X, y=y, f=f_hat_lik, lam=lam, delta=delta):
+            return estimators._mixed_risk_and_grad(W, X, y, f, lam, delta, want_grad)
+
+        yield mixed, ball, X, ball.random_member(rng).W, estimators._POLISH_STEPS, None
+
+
+def test_descent_evaluates_each_trial_point_once():
+    rejected = 0
+    for objective, ball, X, W0, steps, stall_limit in _descent_problems():
+        calls = []
+
+        def counted(W, objective=objective):
+            calls.append(W)
+            return objective(W)
+
+        W, history = _projected_descent(counted, ball, X, W0, steps, stall_limit)
+        W_ref, history_ref, trials = _descent_evaluating_accepted_points_twice(objective, ball, X, W0, steps, stall_limit)
+        assert np.array_equal(W, W_ref) and history == history_ref
+        assert len(calls) == 1 + trials
+        rejected += trials - (len(history) - 1)
+    assert rejected > 0  # some trial point was rejected, so trials and accepted steps differ
 
 
 def test_erm_linear_descends_from_zero(rng):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -422,6 +423,20 @@ def test_logistic_parallel_matches_serial_and_builds_one_oracle(monkeypatch):
     parallel = run_rate_experiment(cfg, n_jobs=2)
     assert serial.records == parallel.records
     assert len(serial.records) == 2 * len(cfg.n_grid) * cfg.replications
+
+
+def test_logistic_run_peaks_below_two_and_a_half_oracle_feature_arrays():
+    # The fits run before the oracle is built, and the build holds at most two N x d arrays at once.
+    cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), replications=1, seed=5,
+                           oracle_size=1_000_000, delta="1/n", B=3.0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run_rate_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cfg.oracle_size * cfg.d * 8
 
 
 def test_w_true_is_checked_and_stored_as_rows():
