@@ -517,10 +517,11 @@ def _oracle_losses(W_left, W_right, lam: float, X, bounds, delta: float, k: int,
     return float(np.mean(nll_left)), float(np.mean(nll_mix))
 
 
-def _logistic_fit(config: ExperimentConfig, ball: LinearBall, W_true, n: int, rep: int) -> tuple:
+def _logistic_fit(config: ExperimentConfig, n: int, rep: int) -> tuple:
     """(n, rep, delta, erm W, partner W, lam) of one cell's fit: all that scoring it needs."""
     delta = config.delta_at(n)
-    sample = gen_logistic_data(n, config.d, config.k, config.B, W_true, (config.seed, n, rep, _DATA_TAG))
+    sample = gen_logistic_data(n, config.d, config.k, config.B, config.w_true(), (config.seed, n, rep, _DATA_TAG))
+    ball = LinearBall(config.d, config.k, config.B)
     fit = regularized_star_glm(
         glm_loss(config.k, delta), ball, sample, delta, n_candidates=config.n_candidates,
         seed=_mix_seed(config.seed, n, rep),
@@ -535,9 +536,7 @@ def _block_logistic(config: ExperimentConfig, cells: list) -> list:
     and lam of each fit are kept, so the fits' n-length arrays are freed
     before the oracle and its score buffers are allocated.
     """
-    ball = LinearBall(config.d, config.k, config.B)
-    W_true = config.w_true()
-    fits = [_logistic_fit(config, ball, W_true, n, rep) for n, rep in cells]
+    fits = [_logistic_fit(config, n, rep) for n, rep in cells]
     X, bounds, ref_loss = _logistic_oracle(config)
     buffers = np.empty((2, X.shape[0]))  # every cell's oracle scores
     out = []
