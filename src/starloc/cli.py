@@ -13,7 +13,7 @@ import math
 import reprlib
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +370,10 @@ def cmd_experiment(args) -> int:
     for key, flag in (("seed", args.seed), ("replications", args.reps), ("jobs", args.jobs)):
         if flag is not None:
             cfg_obj[key] = flag
+    known = {field.name for field in dataclass_fields(ExperimentConfig)}
+    unknown = [key for key in cfg_obj if key not in known]
+    if unknown:
+        raise CliError(f"invalid experiment config: unknown key {reprlib.repr(unknown[0])}")
     try:
         config = ExperimentConfig(**cfg_obj)
     except (TypeError, ValueError) as exc:

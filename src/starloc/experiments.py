@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import reprlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +43,7 @@ __all__ = [
 EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap")
 
 _ORACLE_TAG = 777
-# Rows of the logistic oracle scored at a time.
+# Rows of the logistic oracle drawn, labelled, sorted and scored at a time.
 _ORACLE_CHUNK = 2**15
 _DATA_TAG = 101
 # Integer config fields and their least values.
@@ -388,44 +389,31 @@ def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
 
 
 def _logistic_oracle(config: ExperimentConfig):
-    """Oracle features sorted by label (stable), label block bounds, and the true risk.
+    """Oracle features, each chunk's rows sorted by label (stable), their label bounds, and the true risk.
 
-    Returns (X, bounds, ref_loss): rows bounds[c]:bounds[c + 1] of X are the
-    oracle points labelled c, in draw order, and ref_loss is the mean
-    negative log-likelihood of the true parameter over the draws. Rows are
-    clipped, labelled, scored and moved into place _ORACLE_CHUNK at a time,
-    so every row's values are the same as from the whole matrix at once,
-    and at most two oracle-sized float arrays are live at once: the draws, and either
-    the (2, N) block of uniforms and likelihoods or the sorted copy.
+    Returns (X, bounds, ref_loss): the draws are taken _ORACLE_CHUNK rows at
+    a time, and row i of bounds gives chunk i's label blocks, so rows
+    bounds[i, c]:bounds[i, c + 1] of X are that chunk's points labelled c, in
+    draw order. ref_loss is the mean negative log-likelihood of the true
+    parameter over the draws. The uniforms are drawn per chunk, which takes
+    the same stream as one draw of all of them, and each chunk is clipped and
+    reordered in place, so X is the only oracle-sized array.
     """
     W = config.w_true()
     size = config.oracle_size
     rng = seeded_rng(config.seed, _ORACLE_TAG)
     X = rng.standard_normal((size, config.d))
-    # One (2, N) block: as two length-N arrays, u and nll raised the logistic benchmark's peak RSS by 5 MB.
-    u_nll = np.empty((2, size))
-    u, nll = u_nll
-    rng.random(out=u)
-    y = np.empty(size, dtype=np.min_scalar_type(config.k - 1))
+    bounds = []
+    nll_sum = 0.0
     for start in range(0, size, _ORACLE_CHUNK):
-        rows = slice(start, start + _ORACLE_CHUNK)
-        probs = link_softmax(clip_rows(X[rows], 10.0) @ W.T)
-        labels = _draw_labels(probs, u[rows])
-        y[rows] = labels
-        nll[rows] = -np.log(probs[np.arange(probs.shape[0]), labels])
-    ref_loss = float(np.mean(nll))
-    del u_nll, u, nll
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=config.k))))
-    X_sorted = np.empty_like(X)
-    ends = bounds[:-1].copy()  # the next free row of each label block
-    for start in range(0, size, _ORACLE_CHUNK):
-        rows = slice(start, start + _ORACLE_CHUNK)
-        for c in range(config.k):
-            keep = y[rows] == c
-            count = int(np.count_nonzero(keep))
-            np.compress(keep, X[rows], axis=0, out=X_sorted[ends[c]:ends[c] + count])
-            ends[c] += count
-    return X_sorted, bounds, ref_loss
+        chunk = clip_rows(X[start:start + _ORACLE_CHUNK], 10.0)
+        probs = link_softmax(chunk @ W.T)
+        labels = _draw_labels(probs, rng.random(chunk.shape[0]))
+        nll_sum -= float(np.sum(np.log(probs[np.arange(labels.size), labels])))
+        # A stable sort of one-byte labels is a radix sort, 2.5x faster than one of int64 labels.
+        chunk[:] = chunk[np.argsort(labels.astype(np.min_scalar_type(config.k - 1)), kind="stable")]
+        bounds.append(start + np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=config.k)))))
+    return X, np.array(bounds), nll_sum / size
 
 
 def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
@@ -475,7 +463,7 @@ def _block_ploss(config: ExperimentConfig, cells: list) -> list:
 
 
 def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
-    """Observed-label likelihoods of (1-d) softmax(Wx) + d/k on a label-sorted oracle.
+    """Observed-label likelihoods of (1-d) softmax(Wx) + d/k on label-sorted rows.
 
     Rows bounds[c]:bounds[c + 1] of X carry label c, so their softmax
     likelihood is 1 / (1 + sum_{j != c} exp(x (W_j - W_c))). Score gaps are
@@ -491,30 +479,28 @@ def _regularized_likelihoods(W, X, bounds, delta: float, k: int) -> np.ndarray:
     return lik
 
 
-def _oracle_losses(W_left, W_right, lam: float, X, bounds, delta: float, k: int, buffers):
-    """Mean negative log-likelihoods of the left predictor and of the lam-mix, on the label-sorted oracle.
+def _oracle_losses(fits, X, bounds, k: int) -> list:
+    """Mean negative log-likelihoods of each fit's left predictor and of its lam-mix, on the oracle.
 
-    The likelihoods are scored _ORACLE_CHUNK rows at a time into the two
-    rows of buffers, a (2, N) array, and each row is averaged once, so the
-    means equal those of the whole-oracle formula bit for bit.
+    fits holds (delta, W_left, W_right, lam) per cell, and X and bounds are
+    as _logistic_oracle returns them. One pass over the chunks scores every
+    cell on each; a cell's sums take only its own chunk sums, in chunk
+    order, so its means do not depend on the other cells scored with it.
     """
-    size = X.shape[0]
-    nll_left, nll_mix = buffers
-    for start in range(0, size, _ORACLE_CHUNK):
-        stop = min(start + _ORACLE_CHUNK, size)
-        # the label blocks' bounds within the chunk
-        chunk_bounds = np.clip(bounds - start, 0, stop - start)
-        q_left = _regularized_likelihoods(W_left, X[start:stop], chunk_bounds, delta, k)
-        q_right = _regularized_likelihoods(W_right, X[start:stop], chunk_bounds, delta, k)
-        out = nll_left[start:stop]
-        np.negative(np.log(q_left, out=out), out=out)
-        # lam * q_left + (1 - lam) * q_right, in place
-        q_left *= lam
-        q_right *= 1.0 - lam
-        q_left += q_right
-        out = nll_mix[start:stop]
-        np.negative(np.log(q_left, out=out), out=out)
-    return float(np.mean(nll_left)), float(np.mean(nll_mix))
+    sums = np.zeros((len(fits), 2))
+    for chunk_bounds in bounds:
+        rows = X[chunk_bounds[0]:chunk_bounds[-1]]
+        local = chunk_bounds - chunk_bounds[0]
+        for total, (delta, W_left, W_right, lam) in zip(sums, fits):
+            q_left = _regularized_likelihoods(W_left, rows, local, delta, k)
+            q_right = _regularized_likelihoods(W_right, rows, local, delta, k)
+            total[0] -= np.sum(np.log(q_left))
+            # lam * q_left + (1 - lam) * q_right, in place
+            q_left *= lam
+            q_right *= 1.0 - lam
+            q_left += q_right
+            total[1] -= np.sum(np.log(q_left))
+    return (sums / X.shape[0]).tolist()
 
 
 def _logistic_fit(config: ExperimentConfig, n: int, rep: int) -> tuple:
@@ -534,14 +520,13 @@ def _block_logistic(config: ExperimentConfig, cells: list) -> list:
 
     Every cell is fitted before the oracle is built, and only the weights
     and lam of each fit are kept, so the fits' n-length arrays are freed
-    before the oracle and its score buffers are allocated.
+    before the oracle is allocated.
     """
     fits = [_logistic_fit(config, n, rep) for n, rep in cells]
     X, bounds, ref_loss = _logistic_oracle(config)
-    buffers = np.empty((2, X.shape[0]))  # every cell's oracle scores
+    losses = _oracle_losses([fit[2:] for fit in fits], X, bounds, config.k)
     out = []
-    for n, rep, delta, W_erm, W_partner, lam in fits:
-        loss_erm, loss_star = _oracle_losses(W_erm, W_partner, lam, X, bounds, delta, config.k, buffers)
+    for (n, rep, *_), (loss_erm, loss_star) in zip(fits, losses):
         out.append(("erm", n, rep, loss_erm - ref_loss))
         out.append(("star", n, rep, loss_star - ref_loss))
     return out
@@ -577,10 +562,12 @@ def run_rate_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> 
     jobs = config.jobs if n_jobs is None else n_jobs
     cfg = asdict(config)
     cells = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    # Every worker builds its own oracles, so there are no more workers than CPUs.
+    jobs = min(jobs, len(cells), os.cpu_count() or 1)
     if jobs > 1:
         # Every task takes a share of each sample size, so the tasks cost
         # about the same; each builds its oracles once.
-        tasks = [cells[i::jobs] for i in range(min(jobs, len(cells)))]
+        tasks = [cells[i::jobs] for i in range(jobs)]
         # Imported here, so that serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 

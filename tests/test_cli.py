@@ -669,6 +669,14 @@ def test_experiment_alias_name_is_gone(workdir, capsys):
                        "--out-dir", str(workdir / "o")], capsys, "unknown experiment 'bound_vs_empirical'")
 
 
+def test_experiment_unknown_key_is_named(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(starloc.cli, "run_rate_experiment", lambda config: pytest.fail("the run started"))
+    cfg = workdir / "exp.json"
+    cfg.write_text(json.dumps({"n_grid": [16, 32, 64], "replications": 1, "oracle_size": 100000, "bogus": 1}))
+    _one_error_naming(["experiment", "--name", "logistic_rate", "--config", str(cfg), "--out-dir", str(workdir / "o")],
+                      capsys, "error: invalid experiment config: unknown key 'bogus'")
+
+
 def test_nonconvex_with_too_few_positive_erm_means_names_the_estimator(workdir, capsys):
     # With one replication the ERM excess is exactly 0 whenever the ERM picks +c.
     cfg = workdir / "exp.json"

@@ -1,7 +1,9 @@
+import concurrent.futures
 import gc
 import itertools
 import json
 import math
+import os
 import threading
 import tracemalloc
 import weakref
@@ -338,8 +340,10 @@ def test_ploss_compressed_oracle_is_exact():
             assert got[("star", n, rep)] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
-# The logistic oracle is held sorted by label and scored one label block at
-# a time; these tests compare it with the dense formula over unsorted draws.
+# The logistic oracle is held with each chunk's rows sorted by label and is
+# scored one label block at a time; these tests compare it with the dense
+# formula over unsorted draws. Its sums run chunk by chunk, so its means move
+# from the whole-array means by rounding only.
 
 
 def _dense_likelihoods(W, X, y, delta, k):
@@ -352,6 +356,13 @@ def _label_sorted(X, y, k):
     order = np.argsort(y, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(y, minlength=k))))
     return X[order], y[order], bounds
+
+
+def _chunk_sorted(X, y, k, chunk):
+    """X with each chunk's rows sorted by label, and each chunk's label bounds, as _logistic_oracle keeps them."""
+    starts = range(0, X.shape[0], chunk)
+    parts = [_label_sorted(X[s:s + chunk], y[s:s + chunk], k) for s in starts]
+    return np.concatenate([Xs for Xs, _, _ in parts]), np.array([s + b for s, (_, _, b) in zip(starts, parts)])
 
 
 @pytest.mark.parametrize("k, labels", [(2, (0, 1)), (2, (1,)), (3, (0, 1, 2)), (3, (0, 2))])
@@ -375,9 +386,10 @@ def test_logistic_oracle_sorts_the_dense_draws():
         X, bounds, ref_loss = _logistic_oracle(cfg)
         dense = gen_logistic_data(cfg.oracle_size, cfg.d, k, cfg.B, cfg.w_true(), (cfg.seed, _ORACLE_TAG))
         probs = link_softmax(dense.X @ cfg.w_true().T)
-        assert ref_loss == float(np.mean(-np.log(probs[np.arange(cfg.oracle_size), dense.y])))
-        Xs, _, expected_bounds = _label_sorted(dense.X, dense.y, k)
-        assert np.array_equal(bounds, expected_bounds)
+        expected = float(np.mean(-np.log(probs[np.arange(cfg.oracle_size), dense.y])))
+        assert ref_loss == pytest.approx(expected, rel=1e-13, abs=0)
+        Xs, expected_bounds = _chunk_sorted(dense.X, dense.y, k, experiments._ORACLE_CHUNK)
+        assert np.array_equal(bounds, expected_bounds)  # every chunk's label counts
         assert np.array_equal(X, Xs)
 
 
@@ -387,18 +399,40 @@ def test_streamed_oracle_losses_equal_the_dense_formula(monkeypatch, chunk):
     monkeypatch.setattr(experiments, "_ORACLE_CHUNK", chunk)
     rng = np.random.default_rng(11)
     X = 3.0 * rng.standard_normal((100_003, 2))
-    bounds = np.array([0, 41_000, 41_000, X.shape[0]])
-    W_left, W_right = rng.uniform(-1.0, 1.0, (2, 3, 2))
-    delta, lam = 0.01, 0.37
-    q_left = _regularized_likelihoods(W_left, X, bounds, delta, 3)
-    q_right = _regularized_likelihoods(W_right, X, bounds, delta, 3)
-    expected = (float(np.mean(-np.log(q_left))), float(np.mean(-np.log(lam * q_left + (1.0 - lam) * q_right))))
-    buffers = np.empty((2, X.shape[0]))
-    assert experiments._oracle_losses(W_left, W_right, lam, X, bounds, delta, 3, buffers) == expected
+    y = rng.choice(np.array([0, 2]), size=X.shape[0])
+    Xs, bounds = _chunk_sorted(X, y, 3, chunk)
+    assert np.all(bounds[:, 1] == bounds[:, 2])
+    fits = [(0.01, *rng.uniform(-1.0, 1.0, (2, 3, 2)), 0.37), (0.2, *rng.uniform(-1.0, 1.0, (2, 3, 2)), 1.0)]
+    losses = experiments._oracle_losses(fits, Xs, bounds, 3)
+    for (delta, W_left, W_right, lam), got in zip(fits, losses):
+        q_left = _dense_likelihoods(W_left, X, y, delta, 3)
+        q_right = _dense_likelihoods(W_right, X, y, delta, 3)
+        expected = (np.mean(-np.log(q_left)), np.mean(-np.log(lam * q_left + (1.0 - lam) * q_right)))
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+    # The oracle drawn in chunks holds the same points as one drawn whole, and scores them the same.
     cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), oracle_size=100_003, B=3.0)
     X, bounds, ref_loss = _logistic_oracle(cfg)
-    monkeypatch.setattr(experiments, "_ORACLE_CHUNK", X.shape[0])
-    assert all(np.array_equal(a, b) for a, b in zip((X, bounds, ref_loss), _logistic_oracle(cfg)))
+    assert bounds.shape == (-(-cfg.oracle_size // chunk), cfg.k + 1)
+    monkeypatch.setattr(experiments, "_ORACLE_CHUNK", cfg.oracle_size)
+    X_whole, bounds_whole, ref_whole = _logistic_oracle(cfg)
+    assert np.array_equal(X[np.lexsort(X.T)], X_whole[np.lexsort(X_whole.T)])
+    assert bounds[:, 1].sum() - bounds[:, 0].sum() == bounds_whole[0, 1]  # the label-0 count
+    assert ref_loss == pytest.approx(ref_whole, rel=1e-13, abs=0)
+    fit = [(0.01, cfg.w_true(), 0.5 * cfg.w_true(), 0.6)]
+    np.testing.assert_allclose(experiments._oracle_losses(fit, X, bounds, cfg.k),
+                               experiments._oracle_losses(fit, X_whole, bounds_whole, cfg.k), rtol=1e-13, atol=0)
+
+
+def test_a_cells_oracle_losses_do_not_depend_on_the_other_cells():
+    cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), oracle_size=100_003, B=3.0, k=3,
+                           W_true=((1.0, 0.5), (-1.0, -0.5), (0.0, 0.0)))
+    X, bounds, _ = _logistic_oracle(cfg)
+    rng = np.random.default_rng(4)
+    fits = [(delta, *rng.uniform(-1.0, 1.0, (2, 3, 2)), lam) for delta, lam in ((0.01, 0.3), (0.1, 0.9), (0.5, 0.0))]
+    together = experiments._oracle_losses(fits, X, bounds, cfg.k)
+    for fit, means in zip(fits, together):
+        assert experiments._oracle_losses([fit], X, bounds, cfg.k) == [means]
+    assert experiments._oracle_losses(fits[::-1], X, bounds, cfg.k) == together[::-1]
 
 
 LOGISTIC_SMALL = dict(n_grid=(32, 64, 128), replications=2, seed=5, oracle_size=100_000,
@@ -425,8 +459,35 @@ def test_logistic_parallel_matches_serial_and_builds_one_oracle(monkeypatch):
     assert len(serial.records) == 2 * len(cfg.n_grid) * cfg.replications
 
 
-def test_logistic_run_peaks_below_two_and_a_half_oracle_feature_arrays():
-    # The fits run before the oracle is built, and the build holds at most two N x d arrays at once.
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # Every worker builds its own oracle; the stub pool runs the tasks here and starts no process.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = ExperimentConfig(name="ploss_rate", **SMALL)
+    serial = run_rate_experiment(cfg, n_jobs=1)
+    capped = run_rate_experiment(cfg, n_jobs=1400)
+    assert started == [3]
+    assert capped.records == serial.records
+    assert len(capped.records) == len(cfg.n_grid) * cfg.replications
+
+
+def test_logistic_run_peaks_below_1_4_oracle_feature_arrays():
+    # The fits run before the oracle is built, and the oracle is held once, as its N x d feature array.
     cfg = ExperimentConfig(name="logistic_rate", n_grid=(32, 64, 128), replications=1, seed=5,
                            oracle_size=1_000_000, delta="1/n", B=3.0)
     tracemalloc.start()
@@ -436,7 +497,7 @@ def test_logistic_run_peaks_below_two_and_a_half_oracle_feature_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * cfg.oracle_size * cfg.d * 8
+    assert peak <= 1.4 * cfg.oracle_size * cfg.d * 8
 
 
 def test_w_true_is_checked_and_stored_as_rows():
