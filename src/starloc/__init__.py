@@ -35,7 +35,6 @@ from .estimators import (
     erm_finite,
     erm_linear,
     erm_segment,
-    erm_simplex,
     line_search_segment,
     regularized_star_glm,
     star_fit,
@@ -97,7 +96,6 @@ from .predictors import (
     Predictor,
     Sample,
     SegmentClass,
-    SimplexClass,
     StarMix,
     Tabular,
     prediction_vector,

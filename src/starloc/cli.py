@@ -134,6 +134,13 @@ def load_data_csv(path: str, loss_kind: str, k: int | None = None) -> Sample:
     return Sample(X, y)
 
 
+def _known_keys(obj: dict, allowed, where: str) -> None:
+    """A CliError naming the first key of obj that is not in allowed, if there is one."""
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise CliError(f"{where}: unknown key {reprlib.repr(unknown[0])}")
+
+
 def _number(obj: dict, key: str, where: str, integer: bool = False):
     """obj[key] if it is a finite JSON number (an integer of at least 1, if integer); else a CliError."""
     value = obj.get(key)
@@ -160,11 +167,42 @@ def _delta_and_link(obj: dict, where: str):
     return None if obj.get("delta") is None else _number(obj, "delta", where)
 
 
+# The keys each member type, class variant, entropy variant and bound kind reads, besides its "type" or "variant".
+_MEMBER_KEYS = {
+    "constant": ("value",),
+    "tabular": ("values",),
+    "linear": ("weights", "bound", "link", "delta"),
+    "star_mix": ("lam", "left", "right"),
+}
+# A linear_ball has no delta: fit takes the likelihood floor from --regularize.
+_CLASS_KEYS = {"finite": ("members", "delta", "link"), "linear_ball": ("d", "k", "bound", "link")}
+_ENTROPY_KEYS = {
+    "constant": ("value",),
+    "parametric": ("k", "d", "A", "B"),
+    "power_law": ("A", "q"),
+    "finite_empirical": ("vectors",),
+}
+_BOUND_KEYS = {
+    "packing": ("m", "eta", "n", "rho", "eps", "entropy"),
+    "chaining": ("m", "eta", "n", "rho", "gamma", "entropy", "alpha"),
+    "glm": ("n", "rho", "k", "d", "A", "B", "C"),
+    "bigglm": ("q", "regime", "A", "n"),
+}
+
+
+def _allowed_keys(table: dict, name, what: str) -> tuple:
+    """table[name] if name is one of its keys; else a CliError naming the unknown what."""
+    if not (isinstance(name, str) and name in table):
+        raise CliError(f"unknown {what} {reprlib.repr(name)}")
+    return table[name]
+
+
 def _predictor_from_spec(obj):
     if not isinstance(obj, dict):
         raise CliError(f"class spec: a member must be a JSON object, not {type(obj).__name__}")
     t = obj.get("type")
     where = f"class spec: {t} member"
+    _known_keys(obj, ("type", *_allowed_keys(_MEMBER_KEYS, t, "class spec member type")), where)
     if t == "constant":
         value = obj.get("value")
         return Constant(_array(obj, "value", where) if isinstance(value, list) else float(_number(obj, "value", where)))
@@ -176,35 +214,56 @@ def _predictor_from_spec(obj):
             float(_number(obj, "bound", where)) if "bound" in obj else np.inf,
             _delta_and_link(obj, where),
         )
-    if t == "star_mix":
-        return StarMix(
-            float(_number(obj, "lam", where)),
-            _predictor_from_spec(obj.get("left")),
-            _predictor_from_spec(obj.get("right")),
-        )
-    raise CliError(f"unknown predictor type {t!r} in class spec")
+    return StarMix(
+        float(_number(obj, "lam", where)),
+        _predictor_from_spec(obj.get("left")),
+        _predictor_from_spec(obj.get("right")),
+    )
 
 
 def load_class_spec(path: str):
     """JSON class spec: finite member list, or a linear ball (d, k, bound, link)."""
     obj = _load_json_object(path, "class spec")
     variant = obj.get("variant")
+    where = "class spec: finite class" if variant == "finite" else f"class spec: {variant}"
+    _known_keys(obj, ("variant", *_allowed_keys(_CLASS_KEYS, variant, "class spec variant")), where)
     if variant == "finite":
         members = obj.get("members")
         if not isinstance(members, list) or not members:
             raise CliError("finite class spec needs a nonempty members list")
         members = [_predictor_from_spec(m) for m in members]
-        return FiniteClass(members, _delta_and_link(obj, "class spec: finite class"))
-    if variant == "linear_ball":
-        where = "class spec: linear_ball"
-        if "delta" in obj:
-            raise CliError(f"{where} takes no 'delta'; fit takes the likelihood floor from --regularize")
-        _delta_and_link(obj, where)
-        return LinearBall(
-            _number(obj, "d", where, integer=True), _number(obj, "k", where, integer=True),
-            float(_number(obj, "bound", where)),
-        )
-    raise CliError(f"unknown class spec variant {variant!r}")
+        return FiniteClass(members, _delta_and_link(obj, where))
+    _delta_and_link(obj, where)
+    return LinearBall(
+        _number(obj, "d", where, integer=True), _number(obj, "k", where, integer=True),
+        float(_number(obj, "bound", where)),
+    )
+
+
+def _class_counts(member) -> list:
+    """(type, k) of each predictor in member that indexes a probability vector by the label."""
+    if isinstance(member, StarMix):
+        return _class_counts(member.left) + _class_counts(member.right)
+    if isinstance(member, Linear):
+        return [("linear", member.k)]
+    if isinstance(member, Constant) and isinstance(member.value, np.ndarray):
+        return [("constant", len(member.value))]
+    return []
+
+
+def _load_class(args):
+    """The class spec of fit and offset; with --loss glm, its class counts must be --k, as the labels are."""
+    cls = load_class_spec(args.class_spec)
+    if args.loss == "glm":
+        if isinstance(cls, LinearBall):
+            counts = [("linear_ball has", cls.k)]
+        else:
+            counts = [(f"member {i} has a {t} predictor with", k)
+                      for i, member in enumerate(cls.members) for t, k in _class_counts(member)]
+        for what, k in counts:
+            if k != args.k:
+                raise CliError(f"class spec: {what} k = {k}, but --k is {args.k}")
+    return cls
 
 
 def _entropy_from_spec(obj) -> EntropyProfile:
@@ -212,6 +271,8 @@ def _entropy_from_spec(obj) -> EntropyProfile:
         raise CliError(f"entropy spec must be a JSON object, not {type(obj).__name__}")
     variant = obj.get("variant")
     where = f"{variant} entropy spec"
+    keys = _allowed_keys(_ENTROPY_KEYS, variant, "entropy variant")
+    _known_keys(obj, ("variant", "star_hull_correction", *keys), where)
     corr = obj.get("star_hull_correction", False)
     if not isinstance(corr, bool):
         raise CliError(f"{where}: 'star_hull_correction' must be true or false, not {corr!r}")
@@ -222,9 +283,7 @@ def _entropy_from_spec(obj) -> EntropyProfile:
         return parametric_profile(k, d, float(_number(obj, "A", where)), float(_number(obj, "B", where)), corr)
     if variant == "power_law":
         return power_law_profile(float(_number(obj, "A", where)), float(_number(obj, "q", where)), corr)
-    if variant == "finite_empirical":
-        return finite_empirical_profile(_array(obj, "vectors", where, ndim=2), corr)
-    raise CliError(f"unknown entropy variant {variant!r}")
+    return finite_empirical_profile(_array(obj, "vectors", where, ndim=2), corr)
 
 
 def _describe_fit(fit) -> dict:
@@ -253,12 +312,12 @@ def cmd_verify(args) -> int:
 def cmd_fit(args) -> int:
     model = _build_loss(args)
     sample = load_data_csv(args.data, args.loss, args.k)
-    cls = load_class_spec(args.class_spec)
+    cls = _load_class(args)
     if isinstance(cls, LinearBall):
         if args.loss != "glm":
             raise CliError("linear_ball fitting is wired for the glm loss")
         # The ball's likelihood floor is --regularize; a linear_ball spec has no delta.
-        fit = regularized_star_glm(model, cls, sample, args.regularize, n_candidates=args.candidates, seed=args.seed)
+        fit = regularized_star_glm(cls, sample, args.regularize, n_candidates=args.candidates, seed=args.seed)
         record = _describe_fit(fit)
         # The GLM star mix read back in score space: link_right_inverse(combined.probs(x)).
         record["scores_transform"] = {**record["combined"], "type": "glm_star"}
@@ -281,7 +340,7 @@ def cmd_fit(args) -> int:
 def cmd_offset(args) -> int:
     model = _build_loss(args)
     sample = load_data_csv(args.data, args.loss, args.k)
-    cls = load_class_spec(args.class_spec)
+    cls = _load_class(args)
     if not isinstance(cls, FiniteClass):
         raise CliError("offset estimation needs a finite class spec")
     members = cls.effective_members()
@@ -324,8 +383,7 @@ def cmd_offset(args) -> int:
 def cmd_bound(args) -> int:
     params = _load_json_object(args.params, "params")
     where = f"{args.kind} params"
-    if "C" in params and args.kind != "glm":
-        raise CliError(f"{where}: 'C' is the glm bound's constant; the {args.kind} bound does not read it")
+    _known_keys(params, _allowed_keys(_BOUND_KEYS, args.kind, "bound kind"), where)
 
     def need(*names):
         missing = [nm for nm in names if nm not in params]
@@ -352,10 +410,8 @@ def cmd_bound(args) -> int:
         n, rho, k, d, A, B = need("n", "rho", "k", "d", "A", "B")
         inputs = BoundInputs(n=n, rho=rho, C=optional("C", 1.0))
         value = glm_bound(inputs, k, d, A, B)
-    elif args.kind == "bigglm":
+    else:
         value = bigglm_rate(*need("q", "regime", "A", "n"))
-    else:  # unreachable through argparse choices
-        raise CliError(f"unknown bound kind {args.kind!r}")
     if not math.isfinite(value):
         raise CliError(f"{args.kind} bound diverges for these parameters (value {value})")
     payload = _header(args.seed, {"kind": args.kind, "params": params})
@@ -370,10 +426,7 @@ def cmd_experiment(args) -> int:
     for key, flag in (("seed", args.seed), ("replications", args.reps), ("jobs", args.jobs)):
         if flag is not None:
             cfg_obj[key] = flag
-    known = {field.name for field in dataclass_fields(ExperimentConfig)}
-    unknown = [key for key in cfg_obj if key not in known]
-    if unknown:
-        raise CliError(f"invalid experiment config: unknown key {reprlib.repr(unknown[0])}")
+    _known_keys(cfg_obj, {field.name for field in dataclass_fields(ExperimentConfig)}, "invalid experiment config")
     try:
         config = ExperimentConfig(**cfg_obj)
     except (TypeError, ValueError) as exc:

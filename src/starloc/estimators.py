@@ -34,7 +34,6 @@ from .predictors import (
     Predictor,
     Sample,
     SegmentClass,
-    SimplexClass,
     StarMix,
     prediction_vector,
 )
@@ -47,17 +46,14 @@ __all__ = [
     "line_search_segment",
     "star_fit",
     "erm_segment",
-    "erm_simplex",
     "regularized_star_glm",
 ]
 
 GOLDEN_TOL = 1e-10
-# Coordinate sweeps of erm_simplex; each solves its two 1-D slices exactly,
-# so the limit is rarely reached.
-_SIMPLEX_ROUNDS = 100
 # Step halvings tried per projected-descent step before the descent stops.
 _HALVINGS = 40
-# Partner-polish descent steps per round, and polish rounds per GLM fit.
+# Descent steps of the GLM ERM and of each partner-polish round, and polish rounds per GLM fit.
+_ERM_STEPS = 500
 _POLISH_STEPS = 25
 _REFINE_ROUNDS = 3
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -82,10 +78,10 @@ class StarFit:
     combined: Predictor
     erm_risk: float
     star_risk: float
-    erm_index: int = 0
-    partner_index: int = 0
-    erm_preds: np.ndarray | None = None
-    star_preds: np.ndarray | None = None
+    erm_index: int
+    partner_index: int
+    erm_preds: np.ndarray
+    star_preds: np.ndarray
 
 
 def empirical_risk(model: LossModel, predictor_or_preds, sample: Sample) -> float:
@@ -439,23 +435,20 @@ def star_fit(model: LossModel, cls, sample, preds=None):
     return fits[0] if single else fits
 
 
-def _stationary_lambda(model: LossModel, a, b, target, n=None):
-    """Root of the (increasing) segment risk derivative, to float resolution.
+def _stationary_lambda(model: LossModel, a, b, target, n):
+    """Roots of the (increasing) segment risk derivatives, to float resolution.
 
     Golden section alone localizes the minimizer only to ~sqrt(eps) because
     risk comparisons near the optimum are float noise; margin checks at
     1e-8 need genuine stationarity, and the derivative is exact.
 
-    a, b and target are one segment's vectors (a float is returned), or
-    (S, L) stacks of S segments with per-row example counts n, padded with
-    zero-gradient entries: a = b = target = 0 for a p-loss, a = b = 1 for
-    the log loss. Then all rows are bisected in lockstep and an (S,) array
-    is returned; a row's derivative sums run over its padding too.
+    a, b and target are (S, L) stacks of S segments with per-row example
+    counts n, padded with zero-gradient entries: a = b = target = 0 for a
+    p-loss, a = b = 1 for the log loss. All rows are bisected in lockstep
+    and an (S,) array is returned; a row's derivative sums run over its
+    padding too.
     """
-    single = np.ndim(a) == 1
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    target = None if target is None else np.atleast_2d(target)
-    n = np.full(a.shape[0], a.shape[1]) if n is None else np.asarray(n)
+    n = np.asarray(n)
 
     def deriv(lam, a, b, target, n):
         mix = lam[:, None] * a + (1.0 - lam[:, None]) * b
@@ -470,7 +463,7 @@ def _stationary_lambda(model: LossModel, a, b, target, n=None):
         seg = [None if v is None else v[inner] for v in seg]
         ends = np.zeros(seg[3].size), np.ones(seg[3].size)
         lam[inner] = bisect_root(lambda mid: deriv(mid, *seg) < 0.0, *ends)
-    return float(lam[0]) if single else lam
+    return lam
 
 
 def _pad_rows(rows: list, pad: float) -> np.ndarray:
@@ -511,38 +504,8 @@ def erm_segment(model: LossModel, seg, sample):
     return fits[0] if single else fits
 
 
-def erm_simplex(model: LossModel, simplex: SimplexClass, sample: Sample):
-    """Continuous ERM over a 2-simplex by coordinate-wise descent.
-
-    The objective is convex in the barycentric weights; each sweep solves
-    the two 1-D slices exactly (derivative bisection).
-    """
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-
-    def risk_at(w1, w2):
-        return float(np.mean(eval_loss(model, simplex.point(w1, w2), target)))
-
-    w1, w2 = 1.0 / 3.0, 1.0 / 3.0
-    for _ in range(_SIMPLEX_ROUNDS):
-        prev = (w1, w2)
-        cap = 1.0 - w2
-        if cap > 0:
-            # slice point: lam * (cap * a + w2 * b + (1 - cap - w2) c) + (1 - lam) * (w2 * b + (1 - w2) c)
-            end1 = simplex.point(cap, w2)
-            end0 = simplex.point(0.0, w2)
-            w1 = cap * _stationary_lambda(model, end1, end0, target)
-        cap = 1.0 - w1
-        if cap > 0:
-            end1 = simplex.point(w1, cap)
-            end0 = simplex.point(w1, 0.0)
-            w2 = cap * _stationary_lambda(model, end1, end0, target)
-        if abs(w1 - prev[0]) + abs(w2 - prev[1]) < 1e-14:
-            break
-    return simplex.point(w1, w2), risk_at(w1, w2), (w1, w2)
-
-
-def _glm_risk_and_grad(W, X, y_idx, want_grad: bool = True):
-    """Raw multiclass log loss logsumexp(z) - z_y, convex in W."""
+def _glm_risk_and_grad(W, X, y_idx):
+    """Raw multiclass log loss logsumexp(z) - z_y, convex in W, and its gradient."""
     n = X.shape[0]
     Z = X @ W.T
     zmax = row_max(Z)
@@ -550,21 +513,9 @@ def _glm_risk_and_grad(W, X, y_idx, want_grad: bool = True):
     total = row_sum(E)
     lse = zmax + np.log(total)
     risk = float(np.mean(lse - Z[np.arange(n), y_idx]))
-    if not want_grad:
-        return risk, None
     E /= total[:, None]  # softmax probabilities; the residual is P - onehot(y)
     E[np.arange(n), y_idx] -= 1.0
     grad = E.T @ X / n
-    return risk, grad
-
-
-def _square_risk_and_grad(W, X, y, want_grad: bool = True):
-    u = X @ W.T
-    r = u[:, 0] - y
-    risk = float(np.mean(r * r))
-    if not want_grad:
-        return risk, None
-    grad = (2.0 / X.shape[0]) * (r @ X)[None, :]
     return risk, grad
 
 
@@ -608,31 +559,21 @@ def _projected_descent(objective, ball, X, W, steps, stall_limit=8):
     return W, history
 
 
-def erm_linear(
-    model: LossModel,
-    ball: LinearBall,
-    sample: Sample,
-    steps: int = 500,
-):
-    """Projected gradient descent over the row-norm ball, started at W = 0."""
+def erm_linear(ball: LinearBall, sample: Sample) -> Linear:
+    """Raw multiclass log-loss ERM over the row-norm ball: projected gradient descent from W = 0."""
     X = sample.X
     if X.shape[1] != ball.d:
         raise ValueError("sample dimension does not match the ball")
-    if model.kind in ("glm", "log"):
-        risk_and_grad, y = _glm_risk_and_grad, np.asarray(sample.y, dtype=int)
-    elif model.kind == "square":
-        risk_and_grad, y = _square_risk_and_grad, np.asarray(sample.y, dtype=float)
-    else:
-        raise ValueError(f"erm_linear supports glm/square, not {model.kind}")
+    y_idx = np.asarray(sample.y, dtype=int)
 
     def objective(W):
-        return risk_and_grad(W, X, y)
+        return _glm_risk_and_grad(W, X, y_idx)
 
-    W, _ = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), steps)
+    W, _ = _projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), _ERM_STEPS)
     return Linear(ball.project(W), ball.B, ball.delta)
 
 
-def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = True):
+def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta):
     """Mixture risk -mean ln(lam f_hat + (1 - lam) q) and its gradient in Wp.
 
     q = (1 - delta) softmax(X Wp^T)_y + delta / k is the partner's
@@ -645,8 +586,6 @@ def _mixed_risk_and_grad(Wp, X, y_idx, f_hat_lik, lam, delta, want_grad: bool = 
     q = (1.0 - delta) * py + delta / k
     mix = lam * f_hat_lik + (1.0 - lam) * q
     risk = float(np.mean(-np.log(mix)))
-    if not want_grad:
-        return risk, None
     w = -(1.0 - lam) * (1.0 - delta) / (mix * n)
     R = -P * (w * py)[:, None]
     R[rows, y_idx] += w * py
@@ -666,7 +605,6 @@ def _partner_polish(ball, sample, f_hat_lik, lam, W, delta):
 
 
 def regularized_star_glm(
-    model_log: LossModel,
     ball: LinearBall,
     sample: Sample,
     delta: float,
@@ -683,12 +621,10 @@ def regularized_star_glm(
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    if model_log.kind not in ("log", "glm"):
-        raise ValueError("regularized star aggregation expects a likelihood loss")
     model = glm_loss(ball.k, delta)
     raw_ball = LinearBall(ball.d, ball.k, ball.B)
     reg_ball = LinearBall(ball.d, ball.k, ball.B, delta)
-    erm_pred = erm_linear(model, raw_ball, sample)
+    erm_pred = erm_linear(raw_ball, sample)
     rng = np.random.default_rng((int(seed), 7002))
     candidates = [Linear(erm_pred.W, ball.B, delta)]
     candidates += [reg_ball.random_member(rng) for _ in range(n_candidates)]

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundInputs, packing_bound
 from .complexity import finite_empirical_profile
 from .estimators import regularized_star_glm, star_fit
-from .losses import LossModel, eval_loss, glm_loss, link_softmax, p_loss, row_sum, square_loss
+from .losses import LossModel, eval_loss, link_softmax, p_loss, row_sum, square_loss
 from .predictors import Constant, FiniteClass, LinearBall, Predictor, Sample, clip_rows, prediction_vector, seeded_rng
 
 __all__ = [
@@ -509,8 +509,7 @@ def _logistic_fit(config: ExperimentConfig, n: int, rep: int) -> tuple:
     sample = gen_logistic_data(n, config.d, config.k, config.B, config.w_true(), (config.seed, n, rep, _DATA_TAG))
     ball = LinearBall(config.d, config.k, config.B)
     fit = regularized_star_glm(
-        glm_loss(config.k, delta), ball, sample, delta, n_candidates=config.n_candidates,
-        seed=_mix_seed(config.seed, n, rep),
+        ball, sample, delta, n_candidates=config.n_candidates, seed=_mix_seed(config.seed, n, rep),
     )
     return n, rep, delta, fit.erm.W, fit.partner.W, fit.lam
 

@@ -23,7 +23,6 @@ __all__ = [
     "StarMix",
     "FiniteClass",
     "SegmentClass",
-    "SimplexClass",
     "LinearBall",
     "clip_rows",
     "prediction_vector",
@@ -277,33 +276,6 @@ class SegmentClass:
         levels = int(round(1.0 / self.resolution))
         lam = np.linspace(0.0, 1.0, levels + 1)
         return lam[:, None] * self.a[None, :] + (1.0 - lam)[:, None] * self.b[None, :]
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexClass:
-    """The convex hull of three prediction vectors (a 2-simplex)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    resolution: float = 1e-2
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    def materialize(self) -> np.ndarray:
-        levels = int(round(1.0 / self.resolution))
-        rows = []
-        for i in range(levels + 1):
-            for j in range(levels + 1 - i):
-                w1 = i / levels
-                w2 = j / levels
-                rows.append(w1 * self.a + w2 * self.b + (1.0 - w1 - w2) * self.c)
-        return np.asarray(rows)
-
-    def point(self, w1: float, w2: float) -> np.ndarray:
-        return w1 * self.a + w2 * self.b + (1.0 - w1 - w2) * self.c
 
 
 @dataclass(frozen=True)

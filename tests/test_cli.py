@@ -369,10 +369,16 @@ def test_bound_divergent_value_is_an_error(workdir, capsys):
     assert err.startswith("error:") and "diverges" in err
 
 
+# The params of the two entropy-integral bounds besides the entropy; each kind rejects the other's keys.
+ENTROPY_KIND_PARAMS = {
+    "packing": {"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1},
+    "chaining": {"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "gamma": 1.0},
+}
+
+
 def _bound_entropy(workdir, kind, entropy):
     params = workdir / "p.json"
-    params.write_text(json.dumps({"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
-                                  "entropy": entropy}))
+    params.write_text(json.dumps({**ENTROPY_KIND_PARAMS[kind], "entropy": entropy}))
     out = workdir / "b.json"
     return main(["bound", "--kind", kind, "--params", str(params), "--out", str(out)]), out
 
@@ -585,8 +591,7 @@ def test_experiment_config_integers_follow_one_rule(workdir, capsys, monkeypatch
 @pytest.mark.parametrize("kind", ["packing", "chaining"])
 def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, field):
     params = workdir / "p.json"
-    params.write_text(json.dumps({"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
-                                  "entropy": entropy}))
+    params.write_text(json.dumps({**ENTROPY_KIND_PARAMS[kind], "entropy": entropy}))
     _one_error_naming(["bound", "--kind", kind, "--params", str(params), "--out", str(workdir / "b.json")],
                       capsys, field)
     assert not (workdir / "b.json").exists()
@@ -597,7 +602,7 @@ def test_entropy_spec_numbers_follow_one_rule(workdir, capsys, kind, entropy, fi
 ], ids=["chaining", "corrected", "free-alpha", "packing"])
 def test_overflowing_power_law_diverges(workdir, capsys, kind, corrected, alpha):
     # (A / s)^q and A^{q/2} overflow a float: the entropy and its integral are inf.
-    params = {"m": 1.0, "eta": 1.0, "n": 100, "rho": 0.5, "eps": 0.1, "gamma": 1.0,
+    params = {**ENTROPY_KIND_PARAMS[kind],
               "entropy": {"variant": "power_law", "A": 1e300, "q": 3, "star_hull_correction": corrected}}
     if alpha is not None:
         params["alpha"] = alpha
@@ -611,6 +616,7 @@ def test_overflowing_power_law_diverges(workdir, capsys, kind, corrected, alpha)
 GLM_PARAMS = {"n": 1000, "rho": 0.05, "k": 2, "d": 2, "A": 1.0, "B": 3.0}
 PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
                   "entropy": {"variant": "constant", "value": 10.0}}
+CHAINING_PARAMS = {**{k: v for k, v in PACKING_PARAMS.items() if k != "eps"}, "gamma": 1.0}
 
 
 @pytest.mark.parametrize("kind, params, field", [
@@ -619,13 +625,13 @@ PACKING_PARAMS = {"m": 1.0, "eta": 1.0, "n": 1000, "rho": 0.05, "eps": 0.01,
     ("glm", {**GLM_PARAMS, "d": 2.7}, "'d'"),
     ("glm", {**GLM_PARAMS, "d": 0}, "'d'"),
     ("packing", {**PACKING_PARAMS, "C": 50.0}, "'C'"),
-    ("chaining", {**PACKING_PARAMS, "gamma": 1.0, "C": 1.0}, "'C'"),
+    ("chaining", {**CHAINING_PARAMS, "C": 1.0}, "'C'"),
     ("bigglm", {"q": 1.0, "regime": "lipschitz_glm", "A": 1.0, "n": 256, "C": 2.0}, "'C'"),
     # rejected at the parent too, now by the shared reader
     *[("glm", {**GLM_PARAMS, "k": v}, "'k'") for v in ("2", True)],
     *[("glm", {**GLM_PARAMS, "A": v}, "'A'") for v in GARBAGE_NUMBERS],
     ("glm", {**GLM_PARAMS, "B": HUGE_INT}, "'B'"),
-    ("chaining", {**PACKING_PARAMS, "gamma": 1.0, "n": HUGE_INT}, "'n'"),
+    ("chaining", {**CHAINING_PARAMS, "n": HUGE_INT}, "'n'"),
 ])
 def test_bound_params_follow_one_rule(workdir, capsys, kind, params, field):
     path = workdir / "p.json"
@@ -703,3 +709,94 @@ def test_fit_unbounded_linear_members_emit_and_read_back(workdir):
         member = load_class_spec(str(workdir / "back.json")).members[0]
         assert member.bound == np.inf and member.delta == 0.05
         assert member.W.tolist() == fit[key]["weights"] == spec["members"][fit[f"{key}_index"]]["weights"]
+
+
+# Labels 1..3; with --loss glm they are checked against --k 3.
+GLM3_DATA = "x1,x2,y\n0.5,0.1,1\n-0.2,0.3,2\n0.9,-0.4,3\n-0.7,0.2,2\n"
+TWO_ROW_MEMBERS = {"variant": "finite", "members": [
+    {"type": "linear", "weights": [[0.5, 0.1], [-0.5, 0.2]]},
+    {"type": "linear", "weights": [[0.1, 0.2], [0.3, -0.4]]},
+]}
+
+
+@pytest.mark.parametrize("command, data, k, spec, found", [
+    ("fit", GLM3_DATA, "3", _ball(), "linear_ball has k = 2"),
+    ("fit", GLM3_DATA, "3", TWO_ROW_MEMBERS, "member 0 has a linear predictor with k = 2"),
+    ("fit", GLM3_DATA, "3", _member({"type": "constant", "value": [0.2, 0.8]}),
+     "member 0 has a constant predictor with k = 2"),
+    ("fit", GLM3_DATA, "3", _member({"type": "star_mix", "lam": 0.5,
+                                     "left": {"type": "constant", "value": [0.2, 0.3, 0.5]},
+                                     "right": {"type": "constant", "value": [0.2, 0.8]}}),
+     "member 0 has a constant predictor with k = 2"),
+    ("offset", GLM3_DATA, "3", TWO_ROW_MEMBERS, "member 0 has a linear predictor with k = 2"),
+    # a --k that disagrees with the ball is not ignored
+    ("fit", GLM_DATA, "2", _ball(k=3), "linear_ball has k = 3"),
+], ids=["ball", "linear-members", "vector-constant", "star-mix-constant", "offset-linear-members", "ball-k-above-labels"])
+def test_class_count_must_equal_k(workdir, capsys, command, data, k, spec, found):
+    (workdir / "glm.csv").write_text(data)
+    (workdir / "cls.json").write_text(json.dumps(spec))
+    _one_error_naming([command, str(workdir / "glm.csv"), "--class-spec", str(workdir / "cls.json"), "--loss", "glm",
+                       "--k", k, "--regularize", "0.1", "--out", str(workdir / "o.json")],
+                      capsys, f"error: class spec: {found}, but --k is {k}")
+    assert not (workdir / "o.json").exists()
+
+
+def test_class_counts_equal_to_k_fit(workdir):
+    (workdir / "glm.csv").write_text(GLM3_DATA)
+    for spec in (_ball(k=3), {"variant": "finite", "members": [
+        {"type": "linear", "weights": [[0.5, 0.1], [-0.5, 0.2], [0.0, 0.3]]},
+        {"type": "constant", "value": [0.2, 0.3, 0.5]},
+    ]}):
+        (workdir / "cls.json").write_text(json.dumps(spec))
+        assert main(["fit", str(workdir / "glm.csv"), "--class-spec", str(workdir / "cls.json"), "--loss", "glm",
+                     "--k", "3", "--regularize", "0.1", "--candidates", "4", "--out", str(workdir / "o.json")]) == 0
+
+
+def _constant(**extra):
+    return {"type": "constant", "value": 0.1, **extra}
+
+
+@pytest.mark.parametrize("spec, found", [
+    ({"variant": "finite", "members": [_constant(vlaue=3)], "extra": 1}, "finite class: unknown key 'extra'"),
+    (_member(_constant(vlaue=3)), "constant member: unknown key 'vlaue'"),
+    (_member({"type": "tabular", "values": [0.1, 0.2, 0.3, 0.4], "value": 1}), "tabular member: unknown key 'value'"),
+    (_member({"type": "linear", "weights": [[0.5]], "bounds": 1.0}), "linear member: unknown key 'bounds'"),
+    (_member({"type": "star_mix", "lam": 0.5, "left": _constant(), "right": _constant(), "mid": _constant()}),
+     "star_mix member: unknown key 'mid'"),
+    (_member({"type": "star_mix", "lam": 0.5, "left": _constant(), "right": _constant(extra=None)}),
+     "constant member: unknown key 'extra'"),
+    (_ball(bonud=3.0), "linear_ball: unknown key 'bonud'"),
+], ids=["finite-class", "constant", "tabular", "linear", "star-mix", "nested-member", "ball"])
+def test_class_spec_unknown_key_is_named(workdir, capsys, spec, found):
+    (workdir / "glm.csv").write_text(GLM_DATA)
+    (workdir / "bad.json").write_text(json.dumps(spec))
+    if spec["variant"] == "linear_ball":
+        argv = ["fit", str(workdir / "glm.csv"), "--loss", "glm", "--regularize", "0.05", "--candidates", "2"]
+    else:
+        argv = ["fit", str(workdir / "data.csv"), "--loss", "square"]
+    _one_error_naming([*argv, "--class-spec", str(workdir / "bad.json"), "--out", str(workdir / "o.json")],
+                      capsys, f"error: class spec: {found}")
+    assert not (workdir / "o.json").exists()
+
+
+@pytest.mark.parametrize("kind, params, found", [
+    ("packing", {**PACKING_PARAMS, "gama": 1.0}, "packing params: unknown key 'gama'"),
+    ("chaining", {**CHAINING_PARAMS, "eps": 0.01}, "chaining params: unknown key 'eps'"),
+    ("glm", {**GLM_PARAMS, "q": 1.0}, "glm params: unknown key 'q'"),
+    ("bigglm", {"q": 1.0, "regime": "lipschitz_glm", "A": 1.0, "n": 256, "B": 3.0}, "bigglm params: unknown key 'B'"),
+    ("packing", {**PACKING_PARAMS, "entropy": {"variant": "constant", "value": 10.0, "vaule": 3}},
+     "constant entropy spec: unknown key 'vaule'"),
+    ("chaining", {**CHAINING_PARAMS, "entropy": {"variant": "parametric", "k": 2, "d": 2, "A": 1.0, "B": 3.0, "q": 1}},
+     "parametric entropy spec: unknown key 'q'"),
+    ("chaining", {**CHAINING_PARAMS, "entropy": {"variant": "power_law", "A": 1.0, "q": 1.0, "star_hull": True}},
+     "power_law entropy spec: unknown key 'star_hull'"),
+    ("packing", {**PACKING_PARAMS, "entropy": {"variant": "finite_empirical", "vectors": [[0.1], [0.2]], "k": 2}},
+     "finite_empirical entropy spec: unknown key 'k'"),
+], ids=["packing", "chaining", "glm", "bigglm", "constant-entropy", "parametric-entropy", "power-law-entropy",
+        "finite-empirical-entropy"])
+def test_bound_unknown_key_is_named(workdir, capsys, kind, params, found):
+    path = workdir / "p.json"
+    path.write_text(json.dumps(params))
+    _one_error_naming(["bound", "--kind", kind, "--params", str(path), "--out", str(workdir / "b.json")],
+                      capsys, f"error: {found}")
+    assert not (workdir / "b.json").exists()

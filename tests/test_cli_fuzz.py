@@ -34,12 +34,15 @@ JUNK = st.one_of(
 
 
 def perturbed(valid: dict):
-    """valid with some keys dropped and some values replaced by junk."""
+    """valid with some keys dropped and some values replaced by junk, or with a key it does not read."""
     keys = sorted(valid)
-    return st.builds(
-        lambda drop, junk: {**{k: v for k, v in valid.items() if k not in drop}, **junk},
-        st.sets(st.sampled_from(keys), max_size=1),
-        st.dictionaries(st.sampled_from(keys), JUNK, max_size=2),
+    return st.one_of(
+        st.builds(
+            lambda drop, junk: {**{k: v for k, v in valid.items() if k not in drop}, **junk},
+            st.sets(st.sampled_from(keys), max_size=1),
+            st.dictionaries(st.sampled_from(keys), JUNK, max_size=2),
+        ),
+        st.just({**valid, "extra": 0}),
     )
 
 
@@ -47,7 +50,7 @@ def _csv(header, rows):
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-CELL = st.one_of(st.floats(-1.0, 1.0).map(repr), st.sampled_from(["1", "2", "0"]))
+CELL = st.one_of(st.floats(-1.0, 1.0).map(repr), st.sampled_from(["1", "2", "3", "0"]))
 GOOD_CSV = st.builds(_csv, st.just("x1,y"), st.lists(st.lists(CELL, min_size=2, max_size=2), min_size=ROWS, max_size=ROWS))
 BAD_CSV = st.builds(
     _csv,
@@ -61,6 +64,7 @@ GOOD_MEMBERS = [
     {"type": "constant", "value": -0.4},
     {"type": "tabular", "values": [0.1, -0.2, 0.3, 0.0, 0.5]},
     {"type": "linear", "weights": [[0.5], [-0.5]], "bound": 1.0, "link": "softmax", "delta": 0.1},
+    {"type": "linear", "weights": [[0.5], [-0.5], [0.2]]},
     {"type": "star_mix", "lam": 0.5, "left": {"type": "constant", "value": 0.2},
      "right": {"type": "constant", "value": -0.1}},
 ]

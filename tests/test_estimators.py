@@ -505,22 +505,22 @@ def test_erm_segment_ragged_list_matches_single_calls(model, rng):
 def _glm_descent_history(ball, X, y):
     """Risk history of erm_linear's descent on the GLM objective, from W = 0."""
 
-    def objective(W, want_grad=True):
-        return _glm_risk_and_grad(W, X, y, want_grad)
+    def objective(W):
+        return _glm_risk_and_grad(W, X, y)
 
     return np.asarray(_projected_descent(objective, ball, X, np.zeros((ball.k, ball.d)), 500)[1])
 
 
 def _descent_evaluating_accepted_points_twice(objective, ball, X, W, steps, stall_limit=8):
-    """Reference copy of _projected_descent that tries each point for its risk alone and
-    evaluates an accepted point again for its gradient; also returns the number of trial points."""
+    """Reference copy of _projected_descent that tries each point for its risk alone (the gradient is
+    discarded) and evaluates an accepted point again for its gradient; also returns the number of trial points."""
     risk, grad = objective(W)
     h = 1.0 / max(np.mean(np.sum(X * X, axis=1)), 1e-12)
     history, stalled, trials = [risk], 0, 0
     for _ in range(steps):
         for _ in range(estimators._HALVINGS):
             W_new = ball.project(W - h * grad)
-            risk_new, _ = objective(W_new, want_grad=False)
+            risk_new, _ = objective(W_new)
             trials += 1
             if risk_new <= risk:
                 break
@@ -548,7 +548,7 @@ def _descent_problems():
         X = scale * rng.standard_normal((96, 2))
         y = rng.integers(0, k, 96)
         y[X[:, 0] > 1.0] = 0  # a partly separable class pushes some steps to the ball's boundary
-        yield (lambda W, want_grad=True, X=X, y=y: _glm_risk_and_grad(W, X, y, want_grad),
+        yield (lambda W, X=X, y=y: _glm_risk_and_grad(W, X, y),
                LinearBall(2, k, B), X, np.zeros((k, 2)), 500, 8)
     for lam, delta in ((0.3, 0.05), (0.9, 0.01)):
         X = rng.standard_normal((80, 2))
@@ -556,8 +556,8 @@ def _descent_problems():
         f_hat_lik = rng.uniform(0.05, 0.95, 80)
         ball = LinearBall(2, 2, 3.0, delta)
 
-        def mixed(W, want_grad=True, X=X, y=y, f=f_hat_lik, lam=lam, delta=delta):
-            return estimators._mixed_risk_and_grad(W, X, y, f, lam, delta, want_grad)
+        def mixed(W, X=X, y=y, f=f_hat_lik, lam=lam, delta=delta):
+            return estimators._mixed_risk_and_grad(W, X, y, f, lam, delta)
 
         yield mixed, ball, X, ball.random_member(rng).W, estimators._POLISH_STEPS, None
 
@@ -595,27 +595,13 @@ def test_erm_linear_monotone_single_example():
     assert history[-1] < history[0]
 
 
-def test_erm_linear_square_matches_least_squares(rng):
-    # closed-form oracle: unconstrained least squares inside a large ball
-    sq = square_loss(10.0)
-    ball = LinearBall(3, 1, 50.0)
-    X = rng.standard_normal((128, 3))
-    w_true = np.array([0.5, -0.3, 0.2])
-    y = X @ w_true
-    sample = Sample(X, y)
-    fitted = erm_linear(sq, ball, sample, steps=2000)
-    w_star, *_ = np.linalg.lstsq(X, y, rcond=None)
-    assert np.max(np.abs(fitted.W[0] - w_star)) < 1e-3
-
-
 def test_erm_linear_beats_random_search(rng):
-    glm = glm_loss(2, 0.1)
     ball = LinearBall(2, 2, 3.0)
     X = rng.standard_normal((256, 2))
     probs = link_softmax(X @ np.array([[1.0, 0.5], [-1.0, -0.5]]).T)
     y = (rng.random(256) < probs[:, 1]).astype(int)
     sample = Sample(X, y)
-    fitted = erm_linear(glm, ball, sample)
+    fitted = erm_linear(ball, sample)
 
     def raw_risk(W):
         Z = X @ W.T
@@ -641,7 +627,7 @@ def test_partner_polish_descends_within_its_step_budget(rng):
     assert np.all(np.diff(history) <= 0.0)
     assert np.all(np.linalg.norm(W, axis=1) <= 3.0 * (1 + 1e-12))
     y_idx = np.asarray(sample.y, dtype=int)
-    risk, _ = estimators._mixed_risk_and_grad(W, sample.X, y_idx, f_hat_lik, 0.4, 0.05, want_grad=False)
+    risk, _ = estimators._mixed_risk_and_grad(W, sample.X, y_idx, f_hat_lik, 0.4, 0.05)
     assert risk == history[-1]
 
 
@@ -664,13 +650,12 @@ def test_partner_polish_rejects_a_non_finite_gradient(rng):
 
 
 def test_regularized_star_glm_contract(rng):
-    glm = glm_loss(2, 0.5)
     ball = LinearBall(2, 2, 3.0)
     X = rng.standard_normal((128, 2))
     probs = link_softmax(X @ np.array([[1.0, 0.0], [-1.0, 0.0]]).T)
     y = (rng.random(128) < probs[:, 1]).astype(int)
     sample = Sample(X, y)
-    fit = regularized_star_glm(glm, ball, sample, 0.5, n_candidates=8, seed=0)
+    fit = regularized_star_glm(ball, sample, 0.5, n_candidates=8, seed=0)
     # regularized with delta = 1/2: all likelihoods in [delta/k, 1]
     assert fit.star_preds.min() >= 0.25 - 1e-12
     assert fit.star_risk <= fit.erm_risk + 1e-12

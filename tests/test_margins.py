@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starloc.estimators import erm_segment, erm_simplex, star_fit
+from starloc.estimators import erm_segment, star_fit
 from starloc.losses import glm_loss, log_loss, p_loss, square_loss
 from starloc.margins import (
     bregman_gap,
@@ -20,7 +20,7 @@ from starloc.margins import (
     self_concordant_gap_check,
     star_margin_check,
 )
-from starloc.predictors import Constant, FiniteClass, Sample, SegmentClass, SimplexClass, seeded_rng
+from starloc.predictors import Constant, FiniteClass, Sample, SegmentClass, seeded_rng
 from starloc.verify import _random_finite_star_margin
 
 ALL_MODELS = [square_loss(1.0), p_loss(3.0, 1.0), log_loss(0.1), glm_loss(3, 0.1)]
@@ -115,17 +115,6 @@ def test_erm_margin_segment_classes(kind, rng):
         preds, risk, _ = erm_segment(model, seg, sample)
         rep = erm_margin_check(model, seg.materialize(), targets, preds, risk)
         assert rep.violations == 0
-
-
-def test_erm_margin_simplex_class(rng):
-    model = square_loss(1.0)
-    n = 16
-    simplex = SimplexClass(*(rng.uniform(-1, 1, n) for _ in range(3)), resolution=1e-2)
-    targets = rng.uniform(-1, 1, n)
-    sample = Sample(np.zeros((n, 1)), targets)
-    preds, risk, _ = erm_simplex(model, simplex, sample)
-    rep = erm_margin_check(model, simplex.materialize(), targets, preds, risk)
-    assert rep.violations == 0
 
 
 def test_star_margin_two_point_oracle(rng):

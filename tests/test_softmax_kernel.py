@@ -125,7 +125,6 @@ def test_glm_risk_and_grad_is_bit_identical(k):
     ref_risk, ref_grad = ref_glm_risk_and_grad(W, X, y)
     assert risk == ref_risk
     np.testing.assert_array_equal(grad, ref_grad)
-    assert _glm_risk_and_grad(W, X, y, want_grad=False) == (ref_risk, None)
 
 
 @pytest.mark.parametrize("k", EXACT_K)
@@ -135,7 +134,6 @@ def test_partner_objective_is_bit_identical(k):
     ref_risk, ref_grad = ref_mixed_risk_and_grad(*case)
     assert risk == ref_risk
     np.testing.assert_array_equal(grad, ref_grad)
-    assert _mixed_risk_and_grad(*case, want_grad=False) == (ref_risk, None)
 
 
 @pytest.mark.parametrize("k", EXACT_K)
