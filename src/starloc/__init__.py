@@ -59,17 +59,14 @@ from .losses import (
     ModulusDescriptor,
     canonical_modulus,
     eval_loss,
-    exp_concavity_eta,
     glm_loss,
     grad_loss,
     link_right_inverse,
     link_softmax,
-    lipschitz_bound,
     log_loss,
     loss_increment_modulus,
     p_loss,
     power_modulus,
-    range_bound,
     regularize_likelihood,
     regularize_probs,
     square_loss,

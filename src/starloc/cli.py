@@ -252,17 +252,24 @@ def _class_counts(member) -> list:
 
 
 def _load_class(args):
-    """The class spec of fit and offset; with --loss glm, its class counts must be --k, as the labels are."""
+    """The class spec of fit and offset, checked against the labels.
+
+    With --loss glm, its class counts must be --k, as the labels are. Any
+    other loss has real targets and no labels, so no member may index a
+    probability vector: a vector constant or a linear member with more than
+    one weight row is an error.
+    """
     cls = load_class_spec(args.class_spec)
-    if args.loss == "glm":
-        if isinstance(cls, LinearBall):
-            counts = [("linear_ball has", cls.k)]
-        else:
-            counts = [(f"member {i} has a {t} predictor with", k)
-                      for i, member in enumerate(cls.members) for t, k in _class_counts(member)]
-        for what, k in counts:
-            if k != args.k:
-                raise CliError(f"class spec: {what} k = {k}, but --k is {args.k}")
+    if isinstance(cls, LinearBall):
+        counts = [("linear_ball has", "linear", cls.k)] if args.loss == "glm" else []
+    else:
+        counts = [(f"member {i} has a {t} predictor with", t, k)
+                  for i, member in enumerate(cls.members) for t, k in _class_counts(member)]
+    for what, t, k in counts:
+        if args.loss == "glm" and k != args.k:
+            raise CliError(f"class spec: {what} k = {k}, but --k is {args.k}")
+        if args.loss != "glm" and (t == "constant" or k > 1):
+            raise CliError(f"class spec: {what} k = {k}, but --loss {args.loss} has no class labels")
     return cls
 
 

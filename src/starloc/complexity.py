@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_LEVELS = 20
+# offset_complexity_mc draws and scores at most this many sign entries at a
+# time (one draw at least), so its memory does not grow with the draw count.
+_SIGN_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +152,7 @@ def offset_sup_one_draw(
     n = sample.n
     signs = _check_signs(signs, n)
     S = np.atleast_2d(signs)
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-    psi_f = eval_loss(model, F, target)
+    psi_f = eval_loss(model, F, sample.y)
 
     if offset_kind == "exp_concave":
         sups = _exp_concave_sups(model, psi_f, S)
@@ -158,10 +160,10 @@ def offset_sup_one_draw(
         if reference_preds is None:
             raise ValueError(f"{offset_kind} offset requires a reference predictor")
         r = np.asarray(reference_preds, dtype=float)
-        psi_r = eval_loss(model, r, target)
+        psi_r = eval_loss(model, r, sample.y)
         if offset_kind == "mu_d":
             inc = psi_f - psi_r[None, :]
-            pen = model.modulus.mu(model.distance(F, r[None, :], target) / 3.0).mean(axis=1)
+            pen = model.modulus.mu(model.distance(F, r[None, :], sample.y) / 3.0).mean(axis=1)
             scale = 4.0 / n
         elif offset_kind == "uniform_convex":
             alpha = uniform_convexity_alpha(model)
@@ -192,7 +194,9 @@ def offset_complexity_mc(
     """Seeded Rademacher draws of the offset supremum over the mixture class.
 
     Sign vectors depend only on (seed, draw index), so nested classes
-    evaluated under the same seed see identical draws.
+    evaluated under the same seed see identical draws. They are drawn and
+    scored in blocks of at most _SIGN_BLOCK_ENTRIES entries; each draw's
+    supremum depends only on its own signs, so the blocking moves no bit.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -203,8 +207,12 @@ def offset_complexity_mc(
         ref = prediction_vector(reference, sample)
     else:
         ref = np.asarray(reference, dtype=float)
-    signs = np.array([_draw_signs(seed, d, sample.n) for d in range(draws)])
-    sups = offset_sup_one_draw(model, F, ref, sample, signs, offset_kind)
+    block = max(1, _SIGN_BLOCK_ENTRIES // sample.n)
+    blocks = (range(start, min(start + block, draws)) for start in range(0, draws, block))
+    sups = np.concatenate([
+        offset_sup_one_draw(model, F, ref, sample, np.array([_draw_signs(seed, d, sample.n) for d in b]), offset_kind)
+        for b in blocks
+    ])
     if offset_kind == "exp_concave":
         coefficient = _exp_concave_coefficient(model)
     elif offset_kind == "uniform_convex":

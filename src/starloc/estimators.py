@@ -97,13 +97,11 @@ def empirical_risk(model: LossModel, predictor_or_preds, sample: Sample) -> floa
             f"prediction at example {int(bad[0])} ({preds[bad[0]]!r}) "
             f"outside the {model.kind} loss domain [{lo}, {hi}]"
         )
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-    return float(np.mean(eval_loss(model, preds, target)))
+    return float(np.mean(eval_loss(model, preds, sample.y)))
 
 
 def _risk_rows(model: LossModel, pred_matrix: np.ndarray, sample: Sample) -> np.ndarray:
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
-    return eval_loss(model, pred_matrix, target).mean(axis=1)
+    return eval_loss(model, pred_matrix, sample.y).mean(axis=1)
 
 
 def erm_finite(model: LossModel, cls: FiniteClass, sample: Sample):

@@ -301,10 +301,9 @@ def population_excess_risk(
         sample, weights = oracle.sample, oracle.weights
     else:
         sample, weights = oracle, None
-    target = None if model.is_likelihood else np.asarray(sample.y, dtype=float)
 
     def risks(preds):
-        return np.average(eval_loss(model, preds, target), axis=-1, weights=weights)
+        return np.average(eval_loss(model, preds, sample.y), axis=-1, weights=weights)
 
     if isinstance(predictor, Predictor):
         preds = prediction_vector(predictor, sample)

@@ -24,9 +24,6 @@ __all__ = [
     "eval_loss",
     "grad_loss",
     "second_deriv_loss",
-    "exp_concavity_eta",
-    "lipschitz_bound",
-    "range_bound",
     "canonical_modulus",
     "power_modulus",
     "uniform_convexity_alpha",
@@ -126,6 +123,12 @@ class LossModel:
                 raise ValueError(f"{self.kind} loss: non-finite target")
             raise ValueError(f"{self.kind} loss: target outside [{lo}, {hi}]")
 
+    def draw_targets(self, rng: np.random.Generator, size):
+        """Uniform targets on [target_lo, target_hi]; None for a likelihood loss, which draws nothing from rng."""
+        if self.is_likelihood:
+            return None
+        return rng.uniform(self.target_lo, self.target_hi, size)
+
     def distance(self, x, y, target=None):
         """Canonical metric d(x, y) for this model."""
         x = np.asarray(x, dtype=float)
@@ -140,97 +143,31 @@ class LossModel:
         raise ValueError(f"distance not defined for d_kind {kind!r}")
 
 
-def exp_concavity_eta(kind: str, p: float | None = None, B: float | None = None) -> float:
-    """Exp-concavity modulus eta for a loss family.
+def _increment_coef(m: float, eta: float) -> float:
+    # mu(z) = z^2 / (2m v 4/eta) on the loss increment |psi(x) - psi(y)|
+    return 1.0 / max(2.0 * m, 4.0 / eta)
 
-    p-loss (and square via p = 2): eta = (p - 1) / (p 2^p B^p); log: eta = 1.
+
+def _power_family(kind: str, p: float, B: float) -> LossModel:
+    """|x - a|^p on predictions and targets in [-B, B].
+
+    m = 2^p B^p, eta = (p - 1) / (p 2^p B^p), lip = p 2^p B^(p-1).
     """
-    if kind in ("log", "glm"):
-        return 1.0
-    if kind == "square":
-        p = 2.0
-    if p is None or p <= 1.0:
-        raise ValueError("p-loss requires p > 1")
-    if B is None or B <= 0.0:
-        raise ValueError("p-loss requires B > 0")
-    return (p - 1.0) / (p * 2.0**p * B**p)
-
-
-def lipschitz_bound(
-    kind: str,
-    p: float | None = None,
-    B: float | None = None,
-    delta: float | None = None,
-) -> float:
-    """Lipschitz bound: p 2^p B^(p-1) for the p-loss, 1/delta for log on [delta, 1]."""
-    if kind in ("log", "glm"):
-        if delta is None or not 0.0 < delta <= 1.0:
-            raise ValueError("log loss Lipschitz bound requires delta in (0, 1]")
-        return 1.0 / delta
-    if kind == "square":
-        p = 2.0
-    if p is None or p <= 1.0 or B is None or B <= 0.0:
-        raise ValueError("p-loss requires p > 1 and B > 0")
-    return p * 2.0**p * B ** (p - 1.0)
-
-
-def range_bound(
-    kind: str,
-    p: float | None = None,
-    B: float | None = None,
-    delta: float | None = None,
-) -> float:
-    """Range bound m: 2^p B^p for the p-loss, ln(1/delta) for log on [delta, 1]."""
-    if kind in ("log", "glm"):
-        if delta is None or not 0.0 < delta <= 1.0:
-            raise ValueError("log loss range bound requires delta in (0, 1]")
-        return math.log(1.0 / delta)
-    if kind == "square":
-        p = 2.0
-    if p is None or p <= 1.0 or B is None or B <= 0.0:
-        raise ValueError("p-loss requires p > 1 and B > 0")
-    return 2.0**p * B**p
-
-
-def _log_quadratic_coef(floor: float) -> float:
-    # mu(z) = z^2 / (2 ln(1/floor) v 4) on the log metric
-    return 1.0 / max(2.0 * math.log(1.0 / floor), 4.0)
-
-
-def square_loss(B: float = 1.0) -> LossModel:
-    """Square loss (x - a)^2 on predictions and targets in [-B, B]."""
     if not (B > 0 and math.isfinite(B)):
         raise ValueError(f"B must be positive and finite, not {B}")
+    m = 2.0**p * B**p
+    eta = (p - 1.0) / (p * 2.0**p * B**p)
+    if kind == "square":
+        modulus = ModulusDescriptor("absolute", coef=1.0)
+    else:
+        modulus = ModulusDescriptor("loss_increment", coef=_increment_coef(m, eta))
     return LossModel(
-        kind="square",
-        domain=(-B, B),
-        m=range_bound("square", B=B),
-        eta=exp_concavity_eta("square", B=B),
-        lip=lipschitz_bound("square", B=B),
-        modulus=ModulusDescriptor("absolute", coef=1.0),
-        p=2.0,
-        B=B,
-        target_lo=-B,
-        target_hi=B,
-    )
-
-
-def p_loss(p: float, B: float = 1.0) -> LossModel:
-    """p-loss |x - a|^p, p > 1, on predictions and targets in [-B, B]."""
-    if not (p > 1 and math.isfinite(p)):
-        raise ValueError(f"p must exceed 1 and be finite, not {p}")
-    if not (B > 0 and math.isfinite(B)):
-        raise ValueError(f"B must be positive and finite, not {B}")
-    m = range_bound("p_loss", p=p, B=B)
-    eta = exp_concavity_eta("p_loss", p=p, B=B)
-    coef = 1.0 / max(2.0 * m, 4.0 / eta)
-    return LossModel(
-        kind="p_loss",
+        kind=kind,
         domain=(-B, B),
         m=m,
         eta=eta,
-        lip=lipschitz_bound("p_loss", p=p, B=B),
-        modulus=ModulusDescriptor("loss_increment", coef=coef),
+        lip=p * 2.0**p * B ** (p - 1.0),
+        modulus=modulus,
         p=p,
         B=B,
         target_lo=-B,
@@ -238,19 +175,37 @@ def p_loss(p: float, B: float = 1.0) -> LossModel:
     )
 
 
+def _likelihood_family(kind: str, floor: float, **fields) -> LossModel:
+    """-ln on likelihoods in [floor, 1]: m = ln(1/floor), eta = 1, lip = 1/floor."""
+    m = math.log(1.0 / floor)
+    return LossModel(
+        kind=kind,
+        domain=(floor, 1.0),
+        m=m,
+        eta=1.0,
+        lip=1.0 / floor,
+        modulus=ModulusDescriptor("log_metric", coef=_increment_coef(m, 1.0)),
+        **fields,
+    )
+
+
+def square_loss(B: float = 1.0) -> LossModel:
+    """Square loss (x - a)^2 on predictions and targets in [-B, B]."""
+    return _power_family("square", 2.0, B)
+
+
+def p_loss(p: float, B: float = 1.0) -> LossModel:
+    """p-loss |x - a|^p, p > 1, on predictions and targets in [-B, B]."""
+    if not (p > 1 and math.isfinite(p)):
+        raise ValueError(f"p must exceed 1 and be finite, not {p}")
+    return _power_family("p_loss", p, B)
+
+
 def log_loss(delta: float = LOG_DOMAIN_FLOOR) -> LossModel:
     """Log loss -ln(x) on likelihoods in [delta, 1]."""
     if not LOG_DOMAIN_FLOOR <= delta <= 1.0:
         raise ValueError(f"delta must lie in [{LOG_DOMAIN_FLOOR}, 1]")
-    return LossModel(
-        kind="log",
-        domain=(delta, 1.0),
-        m=range_bound("log", delta=delta),
-        eta=1.0,
-        lip=lipschitz_bound("log", delta=delta),
-        modulus=ModulusDescriptor("log_metric", coef=_log_quadratic_coef(delta)),
-        delta=delta,
-    )
+    return _likelihood_family("log", delta, delta=delta)
 
 
 def glm_loss(k: int, delta: float) -> LossModel:
@@ -263,17 +218,7 @@ def glm_loss(k: int, delta: float) -> LossModel:
         raise ValueError("glm loss requires k >= 2 classes")
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    floor = delta / k
-    return LossModel(
-        kind="glm",
-        domain=(floor, 1.0),
-        m=range_bound("glm", delta=floor),
-        eta=1.0,
-        lip=lipschitz_bound("glm", delta=floor),
-        modulus=ModulusDescriptor("log_metric", coef=_log_quadratic_coef(floor)),
-        delta=delta,
-        k=k,
-    )
+    return _likelihood_family("glm", delta / k, delta=delta, k=k)
 
 
 def eval_loss(model: LossModel, pred, target=None):
@@ -365,7 +310,7 @@ def loss_increment_modulus(model: LossModel) -> ModulusDescriptor:
     For log/glm models this coincides with the canonical log-metric modulus
     (the log metric is the loss increment of -ln).
     """
-    return ModulusDescriptor("loss_increment", coef=1.0 / max(2.0 * model.m, 4.0 / model.eta))
+    return ModulusDescriptor("loss_increment", coef=_increment_coef(model.m, model.eta))
 
 
 def regularize_likelihood(f, delta: float):

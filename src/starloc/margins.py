@@ -74,11 +74,7 @@ def _random_pairs(model: LossModel, n: int, rng: np.random.Generator):
     y = rng.uniform(lo, hi, size=n)
     ties = rng.random(n) < _DEGENERATE_RATE
     y[ties] = x[ties]
-    if model.is_likelihood:
-        target = None
-    else:
-        target = rng.uniform(model.target_lo, model.target_hi, size=n)
-    return x, y, target
+    return x, y, model.draw_targets(rng, n)
 
 
 def bregman_gap(model: LossModel, x, y, target=None):
@@ -114,10 +110,7 @@ def certify_mu_d_convexity(
     gx, gy = np.meshgrid(g, g, indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
     rng = seeded_rng(seed, 101)
-    if model.is_likelihood:
-        gt = None
-    else:
-        gt = rng.uniform(model.target_lo, model.target_hi, size=gx.size)
+    gt = model.draw_targets(rng, gx.size)
     rx, ry, rt = _random_pairs(model, gx.size, rng)
 
     def slack(x, y, t):
@@ -145,6 +138,16 @@ def empirical_metric(model: LossModel, preds_f, preds_g, targets=None) -> float:
     return float(model.modulus.mu_inv(avg))
 
 
+def _fit_margin(model, member_preds, targets, fit_preds, fit_risk, shrink, inequality_id, tolerance):
+    """risk(g) - fit_risk - mean_i mu(d(g_i, fit_i) / shrink) for every member row g."""
+    member_preds = np.atleast_2d(np.asarray(member_preds, dtype=float))
+    fit_preds = np.asarray(fit_preds, dtype=float)
+    risks = eval_loss(model, member_preds, targets).mean(axis=1)
+    d = model.distance(member_preds, fit_preds[None, :], targets)
+    rhs = model.modulus.mu(d / shrink).mean(axis=1)
+    return _report(inequality_id, risks - fit_risk - rhs, tolerance)
+
+
 def erm_margin_check(
     model: LossModel,
     member_preds: np.ndarray,
@@ -165,12 +168,7 @@ def erm_margin_check(
             "finite classes are not convex; materialize a segment/simplex "
             "for this check or use star_margin_check"
         )
-    member_preds = np.atleast_2d(np.asarray(member_preds, dtype=float))
-    erm_preds = np.asarray(erm_preds, dtype=float)
-    risks = eval_loss(model, member_preds, None if targets is None else np.asarray(targets)).mean(axis=1)
-    rhs = model.modulus.mu(model.distance(member_preds, erm_preds[None, :], targets)).mean(axis=1)
-    slack = risks - erm_risk - rhs
-    return _report(f"erm_margin_{model.kind}", slack, tolerance)
+    return _fit_margin(model, member_preds, targets, erm_preds, erm_risk, 1.0, f"erm_margin_{model.kind}", tolerance)
 
 
 def star_margin_check(
@@ -182,13 +180,7 @@ def star_margin_check(
     tolerance: float = INEQUALITY_TOL,
 ) -> MarginCheckReport:
     """Two-stage-minimizer margin: risk(g) - risk(f~) >= mean_i mu(d(g_i, f~_i)/3)."""
-    member_preds = np.atleast_2d(np.asarray(member_preds, dtype=float))
-    star_preds = np.asarray(star_preds, dtype=float)
-    risks = eval_loss(model, member_preds, None if targets is None else np.asarray(targets)).mean(axis=1)
-    d = model.distance(member_preds, star_preds[None, :], targets)
-    rhs = model.modulus.mu(d / 3.0).mean(axis=1)
-    slack = risks - star_risk - rhs
-    return _report(f"star_margin_{model.kind}", slack, tolerance)
+    return _fit_margin(model, member_preds, targets, star_preds, star_risk, 3.0, f"star_margin_{model.kind}", tolerance)
 
 
 def exp_concave_margin_check(
@@ -202,9 +194,8 @@ def exp_concave_margin_check(
         raise ValueError("model needs finite m and positive eta")
     rng = seeded_rng(seed, 202)
     x, y, t = _random_pairs(model, trials, rng)
-    desc = loss_increment_modulus(model)
-    rhs = desc.mu(model.distance(x, y, t))
-    slack = bregman_gap(model, x, y, t) - rhs
+    inc = eval_loss(model, x, t) - eval_loss(model, y, t)
+    slack = bregman_gap(model, x, y, t) - loss_increment_modulus(model).mu(inc)
     return _report(f"exp_concave_margin_{model.kind}", slack, tolerance)
 
 
@@ -281,10 +272,7 @@ def empirical_convexity_check(
     lo, hi = model.domain
     f = rng.uniform(lo, hi, size=(trials, n))
     g = rng.uniform(lo, hi, size=(trials, n))
-    if model.is_likelihood:
-        t = None
-    else:
-        t = rng.uniform(model.target_lo, model.target_hi, size=(trials, n))
+    t = model.draw_targets(rng, (trials, n))
     gap = bregman_gap(model, f, g, t).mean(axis=1)
     rhs = model.modulus.mu(model.distance(f, g, t)).mean(axis=1)
     return _report(f"empirical_convexity_{model.kind}", gap - rhs, tolerance)

@@ -88,15 +88,13 @@ def _random_finite_star_margin(model, trials, seed, tol) -> MarginCheckReport:
         m = int(rng.integers(2, 33))
         n = int(rng.integers(8, 129))
         classes.append(FiniteClass([Constant(v) for v in rng.uniform(lo, hi, m)]))
-        targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
+        targets = model.draw_targets(rng, n)
         samples.append(Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets))
         done += m
     preds = [c.prediction_matrix(s) for c, s in zip(classes, samples)]
     fits = star_fit(model, classes, samples, preds)
     reports = [
-        mg.star_margin_check(
-            model, p, None if model.is_likelihood else s.y, f.star_preds, f.star_risk, tolerance=tol
-        )
+        mg.star_margin_check(model, p, s.y, f.star_preds, f.star_risk, tolerance=tol)
         for p, s, f in zip(preds, samples, fits)
     ]
     return _pooled_margin(f"star_margin_{model.kind}", tol, reports)
@@ -117,13 +115,11 @@ def _random_segment_erm_margin(model, trials, seed, tol) -> MarginCheckReport:
         a = rng.uniform(lo, hi, n)
         b = rng.uniform(lo, hi, n)
         segs.append(SegmentClass(a, b, resolution=1.0 / _SEGMENT_LEVELS))
-        targets = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, n)
+        targets = model.draw_targets(rng, n)
         samples.append(Sample(np.zeros((n, 1)), np.zeros(n) if targets is None else targets))
         done += _SEGMENT_LEVELS + 1
     reports = [
-        mg.erm_margin_check(
-            model, seg.materialize(), None if model.is_likelihood else s.y, preds, risk, tolerance=tol
-        )
+        mg.erm_margin_check(model, seg.materialize(), s.y, preds, risk, tolerance=tol)
         for seg, s, (preds, risk, _) in zip(segs, samples, erm_segment(model, segs, samples))
     ]
     return _pooled_margin(f"erm_margin_{model.kind}", tol, reports)
@@ -167,7 +163,7 @@ def _loss_range_report(model, trials, seed) -> MarginCheckReport:
     rng = seeded_rng(seed, 19)
     lo, hi = model.domain
     x = rng.uniform(lo, hi, trials)
-    t = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, trials)
+    t = model.draw_targets(rng, trials)
     vals = eval_loss(model, x, t)
     slack = np.minimum(vals, model.m - vals)  # nonnegative iff 0 <= psi <= m
     return mg._report(f"loss_range_{model.kind}", slack, 1e-9)
@@ -178,7 +174,7 @@ def _constants_report(model, trials, seed) -> MarginCheckReport:
     rng = seeded_rng(seed, 23)
     lo, hi = model.domain
     x = rng.uniform(lo, hi, trials)
-    t = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, trials)
+    t = model.draw_targets(rng, trials)
     g = grad_loss(model, x, t)
     h = second_deriv_loss(model, x, t)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -264,7 +260,7 @@ def _modulus_axioms_report(model, trials, seed) -> MarginCheckReport:
     convex = 0.5 * (mu[:-1] + mu[1:]) - mid
     lo, hi = model.domain
     x, y, w = (rng.uniform(lo, hi, trials) for _ in range(3))
-    t = None if model.is_likelihood else rng.uniform(model.target_lo, model.target_hi, trials)
+    t = model.draw_targets(rng, trials)
     dxy = model.distance(x, y, t)
     dyx = model.distance(y, x, t)
     tri = model.distance(x, w, t) + model.distance(w, y, t) - dxy

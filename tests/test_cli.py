@@ -756,6 +756,37 @@ def _constant(**extra):
     return {"type": "constant", "value": 0.1, **extra}
 
 
+TWO_CLASS_LINEAR = {"type": "linear", "weights": [[0.5], [-0.5]]}
+
+
+@pytest.mark.parametrize("command, data, loss, spec, found", [
+    # the target 2 indexed a two-row probability vector: an IndexError traceback
+    ("fit", "x1,y\n0.3,2\n-0.1,0.5\n", ["--loss", "log"], _member(TWO_CLASS_LINEAR),
+     "member 0 has a linear predictor with k = 2, but --loss log"),
+    ("fit", "x1,y\n0.3,2\n-0.1,0.5\n", ["--loss", "square", "--B", "3"], _member(TWO_CLASS_LINEAR),
+     "member 0 has a linear predictor with k = 2, but --loss square"),
+    # the target -1 silently scored the last class
+    ("fit", "x1,y\n0.3,-1\n-0.1,0.5\n", ["--loss", "log"], _member({"type": "constant", "value": [0.2, 0.8]}),
+     "member 0 has a constant predictor with k = 2, but --loss log"),
+    ("offset", "x1,y\n0.3,-1\n-0.1,0.5\n", ["--loss", "square", "--kind", "exp_concave"],
+     {"variant": "finite", "members": [_constant(), {"type": "star_mix", "lam": 0.5, "left": _constant(),
+                                                     "right": TWO_CLASS_LINEAR}]},
+     "member 1 has a linear predictor with k = 2, but --loss square"),
+], ids=["fit-log-linear", "fit-square-linear", "fit-log-vector-constant", "offset-star-mix-linear"])
+def test_label_indexed_member_needs_glm(workdir, capsys, command, data, loss, spec, found):
+    (workdir / "real.csv").write_text(data)
+    (workdir / "cls.json").write_text(json.dumps(spec))
+    _one_error_naming([command, str(workdir / "real.csv"), "--class-spec", str(workdir / "cls.json"), *loss,
+                       "--out", str(workdir / "o.json")], capsys, f"error: class spec: {found} has no class labels")
+    assert not (workdir / "o.json").exists()
+
+
+def test_one_row_linear_member_fits_a_real_target(workdir):
+    (workdir / "cls.json").write_text(json.dumps(_member({"type": "linear", "weights": [[0.5]]})))
+    assert main(["fit", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"), "--loss", "square",
+                 "--out", str(workdir / "o.json")]) == 0
+
+
 @pytest.mark.parametrize("spec, found", [
     ({"variant": "finite", "members": [_constant(vlaue=3)], "extra": 1}, "finite class: unknown key 'extra'"),
     (_member(_constant(vlaue=3)), "constant member: unknown key 'vlaue'"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from starloc import complexity
 from starloc.complexity import (
     _exp_concave_coefficient,
     _exp_concave_sups,
@@ -278,6 +279,31 @@ def test_batched_offset_equals_row_by_row(rng):
         assert isinstance(single[0], float)
         assert batched.shape == (5,)
         np.testing.assert_array_equal(batched, single)
+
+
+@pytest.mark.parametrize("kind, model", [("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)),
+                                         ("uniform_convex", p_loss(3.0, 1.0))])
+def test_offset_draws_stream_in_blocks(monkeypatch, rng, kind, model):
+    n, draws = 13, 23
+    sample = _const_sample(rng.uniform(-1, 1, n))
+    cls = FiniteClass([Constant(float(v)) for v in rng.uniform(-1, 1, 4)])
+    whole = offset_complexity_mc(model, cls, Constant(0.1), sample, kind, draws=draws, seed=4)
+    blocks = []
+
+    def recording(model, F, ref, sample, signs, kind):
+        blocks.append(signs.shape)
+        return offset_sup_one_draw(model, F, ref, sample, signs, kind)
+
+    monkeypatch.setattr(complexity, "offset_sup_one_draw", recording)
+    monkeypatch.setattr(complexity, "_SIGN_BLOCK_ENTRIES", 7 * n + 5)  # 7 draws per block
+    streamed = offset_complexity_mc(model, cls, Constant(0.1), sample, kind, draws=draws, seed=4)
+    assert blocks == [(7, n), (7, n), (7, n), (2, n)]
+    assert streamed.per_draw_sup.tobytes() == whole.per_draw_sup.tobytes()
+    monkeypatch.setattr(complexity, "_SIGN_BLOCK_ENTRIES", 1)  # one draw per block at least
+    blocks.clear()
+    single = offset_complexity_mc(model, cls, Constant(0.1), sample, kind, draws=3, seed=4)
+    assert blocks == [(1, n)] * 3
+    assert single.per_draw_sup.tobytes() == whole.per_draw_sup[:3].tobytes()
 
 
 _REFERENCE_BLOCK = 512

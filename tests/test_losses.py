@@ -9,16 +9,13 @@ from starloc.losses import (
     bisect_root,
     canonical_modulus,
     eval_loss,
-    exp_concavity_eta,
     glm_loss,
     grad_loss,
     link_right_inverse,
     link_softmax,
-    lipschitz_bound,
     log_loss,
     p_loss,
     power_modulus,
-    range_bound,
     regularize_likelihood,
     regularize_probs,
     sandwich_threshold,
@@ -89,21 +86,40 @@ def test_grad_loss_examples():
 
 
 def test_exp_concavity_eta_formulas():
-    assert exp_concavity_eta("p_loss", p=3.0, B=1.0) == pytest.approx(1.0 / 12.0, rel=1e-15)
-    assert exp_concavity_eta("log") == 1.0
-    assert exp_concavity_eta("p_loss", p=2.0, B=1.0) == pytest.approx(0.125, rel=1e-15)
-    assert exp_concavity_eta("square", B=1.0) == pytest.approx(0.125, rel=1e-15)
+    assert p_loss(3.0, 1.0).eta == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert log_loss().eta == 1.0
+    assert glm_loss(3, 0.1).eta == 1.0
+    assert p_loss(2.0, 1.0).eta == pytest.approx(0.125, rel=1e-15)
+    assert square_loss(1.0).eta == pytest.approx(0.125, rel=1e-15)
     with pytest.raises(ValueError):
-        exp_concavity_eta("p_loss", p=1.0, B=1.0)
+        p_loss(1.0, 1.0)
 
 
 def test_lipschitz_and_range_formulas():
-    assert lipschitz_bound("p_loss", p=3.0, B=1.0) == 24.0
-    assert lipschitz_bound("log", delta=0.01) == pytest.approx(100.0, rel=1e-15)
-    assert lipschitz_bound("p_loss", p=2.0, B=1.0) == 8.0
-    assert range_bound("p_loss", p=2.0, B=1.0) == 4.0
-    assert range_bound("log", delta=math.exp(-3.0)) == pytest.approx(3.0, rel=1e-12)
-    assert range_bound("p_loss", p=3.0, B=2.0) == 64.0
+    assert p_loss(3.0, 1.0).lip == 24.0
+    assert log_loss(0.01).lip == pytest.approx(100.0, rel=1e-15)
+    assert p_loss(2.0, 1.0).lip == 8.0
+    assert square_loss(1.0).lip == 8.0
+    assert p_loss(2.0, 1.0).m == 4.0
+    assert log_loss(math.exp(-3.0)).m == pytest.approx(3.0, rel=1e-12)
+    assert p_loss(3.0, 2.0).m == 64.0
+    # the glm floor is delta / k
+    assert glm_loss(4, 0.2).m == pytest.approx(math.log(20.0), rel=1e-15)
+    assert glm_loss(4, 0.2).lip == pytest.approx(20.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("model", [log_loss(0.1), glm_loss(3, 0.1)], ids=["log", "glm"])
+def test_likelihood_draw_targets_draws_nothing(model):
+    rng = np.random.default_rng(5)
+    assert model.draw_targets(rng, 10) is None
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+@pytest.mark.parametrize("model", [p_loss(3.0, 2.0), square_loss(0.5)], ids=["p3", "square"])
+def test_draw_targets_are_the_generator_uniforms(model):
+    drawn = model.draw_targets(np.random.default_rng(5), (4, 6))
+    expected = np.random.default_rng(5).uniform(-model.B, model.B, (4, 6))
+    assert drawn.shape == (4, 6) and np.array_equal(drawn, expected)
 
 
 def test_canonical_modulus_examples():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ def test_star_margin_contains_star_itself():
 def test_exp_concave_margin(model):
     rep = exp_concave_margin_check(model, trials=10_000, seed=1)
     assert rep.violations == 0
+
+
+def test_exp_concave_margin_measures_the_loss_increment():
+    # m and eta too generous for the square loss: the modulus on |psi(x) - psi(y)|
+    # outgrows the Bregman gap (x - y)^2, which the metric |x - y| would hide.
+    generous = replace(square_loss(1.0), m=1.0, eta=2.0)
+    rep = exp_concave_margin_check(generous, trials=2000, seed=0)
+    assert rep.violations == 715 and rep.trials == 2000
 
 
 def test_self_concordance_examples():
