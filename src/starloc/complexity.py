@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel, eval_loss, uniform_convexity_alpha
+from .losses import LossModel, eval_loss, loss_increment_modulus, uniform_convexity_alpha
 from .predictors import FiniteClass, Predictor, Sample, prediction_vector
 
 __all__ = [
@@ -29,9 +29,18 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_LEVELS = 20
-# offset_complexity_mc draws and scores at most this many sign entries at a
-# time (one draw at least), so its memory does not grow with the draw count.
-_SIGN_BLOCK_ENTRIES = 1 << 22
+# fprime_matrix refuses a mixture class of more entries than this (1 GiB of
+# float64) before it evaluates a single member.
+_FPRIME_MAX_ENTRIES = 1 << 27
+# offset_complexity_mc draws and scores at most this many entries of signs,
+# and of exp_concave scores t = psi S[d], at a time (one draw at least), so
+# its memory does not grow with the draw count.
+_SIGN_BLOCK_ENTRIES = 1 << 17
+# offset_sup_one_draw evaluates losses, increments and penalties over this
+# many mixture rows at a time. A multiple of 8, so that each block's
+# matrix-vector products group the rows as OpenBLAS groups them in one
+# product over the whole class, and every supremum keeps its bits.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,15 +67,29 @@ def fprime_matrix(
     Pair rows lam * f_i + (1 - lam) * f_j run over i < j (row-major) and,
     within a pair, over the interior weights lam = 1/L, ..., (L-1)/L; the
     endpoints reproduce the members, so each member row appears exactly
-    once and there are M + M(M-1)(L-1)/2 <= M^2 (L+1) rows.
+    once and there are M + M(M-1)(L-1)/2 <= M^2 (L+1) rows, written in
+    place one weight at a time. A class of more than _FPRIME_MAX_ENTRIES
+    rows x n entries is refused before any member is evaluated.
     """
     if lambda_levels < 1:
         raise ValueError("lambda_levels must be >= 1")
-    base = cls.prediction_matrix(sample)
-    i, j = np.triu_indices(base.shape[0], 1)
-    lam = (np.arange(1, lambda_levels) / lambda_levels)[None, :, None]
-    pairs = lam * base[i][:, None, :] + (1.0 - lam) * base[j][:, None, :]
-    return np.concatenate([base, pairs.reshape(-1, base.shape[1])])
+    m, n = len(cls), sample.n
+    pairs = m * (m - 1) // 2
+    rows = m + pairs * (lambda_levels - 1)
+    if rows * n > _FPRIME_MAX_ENTRIES:
+        raise ValueError(
+            f"the mixture class has {rows} rows ({m} members at --levels {lambda_levels}); "
+            f"{rows} rows x n = {n} is {rows * n} entries, above the ceiling of {_FPRIME_MAX_ENTRIES}"
+        )
+    out = np.empty((rows, n))
+    base = out[:m]
+    base[:] = cls.prediction_matrix(sample)
+    mixes = out[m:].reshape(pairs, lambda_levels - 1, n)
+    i, j = np.triu_indices(m, 1)
+    f_i, f_j = base[i], base[j]
+    for k, lam in enumerate(np.arange(1, lambda_levels) / lambda_levels):
+        np.add(lam * f_i, (1.0 - lam) * f_j, out=mixes[:, k])
+    return out
 
 
 def _check_signs(signs, n):
@@ -75,14 +98,14 @@ def _check_signs(signs, n):
         signs.ndim not in (1, 2)
         or signs.shape[-1] != n
         or signs.size == 0
-        or not np.all(np.abs(signs) == 1.0)
+        or not np.all((signs == 1.0) | (signs == -1.0))
     ):
         raise ValueError("signs must be a +/-1 vector, or a matrix of +/-1 rows, matching the sample size")
     return signs
 
 
 def _exp_concave_coefficient(model: LossModel) -> float:
-    return model.eta / max(18.0 * model.m * model.eta, 36.0)
+    return loss_increment_modulus(model).coef / 9.0
 
 
 def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -112,7 +135,9 @@ def _exp_concave_sups(model: LossModel, psi_f: np.ndarray, S: np.ndarray) -> np.
         return dt * (4.0 / n) - coef * np.maximum(qq - 2.0 * g, 0.0)
 
     q = np.einsum("ij,ij->i", psi_f, psi_f)
-    T = np.array([psi_f @ s for s in S])
+    T = np.empty((len(S), len(psi_f)))
+    for d, s in enumerate(S):
+        np.matmul(psi_f, s, out=T[d])
     hi, lo = T.argmax(axis=1), T.argmin(axis=1)
     draws = np.arange(len(T))
     g_low = np.einsum("ij,ij->i", psi_f[hi], psi_f[lo]) * (1.0 - 4.0 * n * np.finfo(float).eps)
@@ -140,7 +165,9 @@ def offset_sup_one_draw(
     signs of shape (n,) give a float; signs of shape (draws, n) give an
     array of draws suprema, each bit-identical to the single-vector call on
     that row. The losses and the mu_d and uniform_convex penalties do not
-    depend on the signs and are computed once per call.
+    depend on the signs and are computed once per call, in blocks of
+    _ROW_BLOCK rows: besides F, a call holds psi(F) for exp_concave and
+    otherwise only block-sized temporaries and one maximum per block and draw.
 
     mu_d and uniform_convex maximize over members against the fixed
     reference; exp_concave maximizes over ordered member pairs (the
@@ -152,9 +179,12 @@ def offset_sup_one_draw(
     n = sample.n
     signs = _check_signs(signs, n)
     S = np.atleast_2d(signs)
-    psi_f = eval_loss(model, F, sample.y)
+    blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, F.shape[0], _ROW_BLOCK)]
 
     if offset_kind == "exp_concave":
+        psi_f = np.empty_like(F)
+        for b in blocks:
+            psi_f[b] = eval_loss(model, F[b], sample.y)
         sups = _exp_concave_sups(model, psi_f, S)
     else:
         if reference_preds is None:
@@ -162,17 +192,26 @@ def offset_sup_one_draw(
         r = np.asarray(reference_preds, dtype=float)
         psi_r = eval_loss(model, r, sample.y)
         if offset_kind == "mu_d":
-            inc = psi_f - psi_r[None, :]
-            pen = model.modulus.mu(model.distance(F, r[None, :], sample.y) / 3.0).mean(axis=1)
             scale = 4.0 / n
         elif offset_kind == "uniform_convex":
             alpha = uniform_convexity_alpha(model)
-            inc = F - r[None, :]
-            pen = (alpha * np.abs(inc) ** model.p / 3.0**model.p).mean(axis=1)
             scale = 4.0 * model.lip / n
         else:
             raise ValueError(f"unknown offset kind {offset_kind!r}")
-        sups = np.array([float((scale * (inc @ s) - pen).max()) for s in S])
+        # block_max[k, d]: the supremum of draw d over row block k
+        block_max = np.empty((len(blocks), len(S)))
+        for k, b in enumerate(blocks):
+            f = F[b]
+            if offset_kind == "mu_d":
+                inc = eval_loss(model, f, sample.y) - psi_r[None, :]
+                pen = model.modulus.mu(model.distance(f, r[None, :], sample.y) / 3.0).mean(axis=1)
+            else:
+                model.check_pred(f)
+                inc = f - r[None, :]
+                pen = (alpha * np.abs(inc) ** model.p / 3.0**model.p).mean(axis=1)
+            for d, s in enumerate(S):
+                block_max[k, d] = (scale * (inc @ s) - pen).max()
+        sups = block_max.max(axis=0)
     return float(sups[0]) if signs.ndim == 1 else sups
 
 
@@ -195,8 +234,10 @@ def offset_complexity_mc(
 
     Sign vectors depend only on (seed, draw index), so nested classes
     evaluated under the same seed see identical draws. They are drawn and
-    scored in blocks of at most _SIGN_BLOCK_ENTRIES entries; each draw's
-    supremum depends only on its own signs, so the blocking moves no bit.
+    scored in blocks of _SIGN_BLOCK_ENTRIES // max(n, rows of F) draws (one
+    at least), which bounds both the signs and the exp_concave scores t of a
+    block; each draw's supremum depends only on its own signs, so the
+    blocking moves no bit.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -207,7 +248,7 @@ def offset_complexity_mc(
         ref = prediction_vector(reference, sample)
     else:
         ref = np.asarray(reference, dtype=float)
-    block = max(1, _SIGN_BLOCK_ENTRIES // sample.n)
+    block = max(1, _SIGN_BLOCK_ENTRIES // max(sample.n, F.shape[0]))
     blocks = (range(start, min(start + block, draws)) for start in range(0, draws, block))
     sups = np.concatenate([
         offset_sup_one_draw(model, F, ref, sample, np.array([_draw_signs(seed, d, sample.n) for d in b]), offset_kind)

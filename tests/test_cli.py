@@ -340,6 +340,20 @@ def test_offset_rejects_levels_below_one(workdir, levels):
     assert exc.value.code == 2
 
 
+def test_offset_levels_above_the_size_ceiling_exit_one(workdir, capsys, monkeypatch):
+    def never(self, sample):
+        raise AssertionError("the class was evaluated")
+
+    monkeypatch.setattr(FiniteClass, "prediction_matrix", never)
+    # 2 members at 40,000,000 levels: 40,000,001 rows x n = 4 points, past the 2^27-entry ceiling
+    rc = main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
+               "--loss", "square", "--kind", "exp_concave", "--draws", "2", "--levels", "40000000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "40000001 rows" in err and "--levels 40000000" in err and "n = 4" in err
+
+
 @pytest.mark.parametrize("index", ["5", "2", "-1"])
 def test_offset_reference_index_out_of_range(workdir, capsys, index):
     rc = main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),

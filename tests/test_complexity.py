@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,7 +296,9 @@ def test_offset_draws_stream_in_blocks(monkeypatch, rng, kind, model):
         return offset_sup_one_draw(model, F, ref, sample, signs, kind)
 
     monkeypatch.setattr(complexity, "offset_sup_one_draw", recording)
-    monkeypatch.setattr(complexity, "_SIGN_BLOCK_ENTRIES", 7 * n + 5)  # 7 draws per block
+    rows = fprime_matrix(cls, sample).shape[0]
+    assert rows > n  # blocks are sized by the longer of a sign row and a score row
+    monkeypatch.setattr(complexity, "_SIGN_BLOCK_ENTRIES", 7 * rows + 5)  # 7 draws per block
     streamed = offset_complexity_mc(model, cls, Constant(0.1), sample, kind, draws=draws, seed=4)
     assert blocks == [(7, n), (7, n), (7, n), (2, n)]
     assert streamed.per_draw_sup.tobytes() == whole.per_draw_sup.tobytes()
@@ -422,3 +425,98 @@ def test_finite_empirical_counts_match_greedy_cover(rng):
         got = entropy_eval(finite_empirical_profile(vectors=V), eps)
         want = np.log([len(greedy_cover_indices(V, float(e))) for e in eps])
         np.testing.assert_array_equal(got, want)
+
+
+def _dyadic_case():
+    """A class, sample and signs on a 1/8 grid: mixes at levels 4 are multiples of 1/32, so every
+    loss, increment and product below is exact and no summation order can move a bit."""
+    rng = np.random.default_rng(11)
+    n = 16
+    sample = _const_sample(rng.integers(-8, 9, n) / 8.0)
+    cls = FiniteClass([Tabular(row) for row in rng.integers(-8, 9, (5, n)) / 8.0])
+    return sample, fprime_matrix(cls, sample, 4), rng.choice([-1.0, 1.0], (6, n))
+
+
+_KINDS = [("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)), ("uniform_convex", p_loss(3.0, 1.0))]
+
+
+@pytest.mark.parametrize("kind, model", _KINDS)
+def test_offset_row_blocks_move_no_bit(monkeypatch, kind, model):
+    sample, F, S = _dyadic_case()
+    ref = F[3]
+    monkeypatch.setattr(complexity, "_ROW_BLOCK", len(F))
+    whole = offset_sup_one_draw(model, F, ref, sample, S, kind)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(complexity, "_ROW_BLOCK", rows)
+        assert offset_sup_one_draw(model, F, ref, sample, S, kind).tobytes() == whole.tobytes()
+    # random data: the row blocks of the default size (a multiple of 8) group the
+    # rows of each matrix-vector product as one product over the whole class does
+    rng = np.random.default_rng(12)
+    n = 100
+    sample = _const_sample(rng.uniform(-1, 1, n))
+    F = fprime_matrix(FiniteClass([Tabular(row) for row in rng.uniform(-1, 1, (7, n))]), sample, 20)
+    S = rng.choice([-1.0, 1.0], (4, n))
+    monkeypatch.setattr(complexity, "_ROW_BLOCK", len(F))
+    whole = offset_sup_one_draw(model, F, F[0], sample, S, kind)
+    monkeypatch.undo()
+    assert len(F) > 2 * complexity._ROW_BLOCK and complexity._ROW_BLOCK % 8 == 0
+    assert offset_sup_one_draw(model, F, F[0], sample, S, kind).tobytes() == whole.tobytes()
+    if kind == "exp_concave":  # the row blocks only fill psi(F) here
+        monkeypatch.setattr(complexity, "_ROW_BLOCK", 3)
+        assert offset_sup_one_draw(model, F, None, sample, S, kind).tobytes() == whole.tobytes()
+
+
+def _offset_case_m12():
+    """The M = 12, n = 256, L = 20 mixture class of the offset benchmark's shape (1266 rows)."""
+    rng = np.random.default_rng(7)
+    n = 256
+    x = rng.uniform(-1, 1, n)
+    sample = Sample(x[:, None], np.clip(0.5 * x + 0.3 * rng.standard_normal(n), -1, 1))
+    a, b = rng.uniform(-0.5, 0.5, (2, 12))
+    cls = FiniteClass([Tabular(np.clip(a_ + b_ * x, -1, 1)) for a_, b_ in zip(a, b)])
+    return cls, sample
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, model, bound", [("mu_d", square_loss(1.0), 2.0),
+                                                ("uniform_convex", p_loss(3.0, 1.0), 2.0),
+                                                ("exp_concave", square_loss(1.0), 2.75)])
+def test_offset_memory_is_one_fprime_matrix_plus_blocks(kind, model, bound):
+    cls, sample = _offset_case_m12()
+    fprime_bytes = fprime_matrix(cls, sample, 20).nbytes
+    assert fprime_bytes == 1266 * 256 * 8
+    ref = None if kind == "exp_concave" else cls.members[0]
+    peak = _traced_peak(lambda: offset_complexity_mc(model, cls, ref, sample, kind, draws=64, seed=3))
+    assert peak <= bound * fprime_bytes
+
+
+def test_exp_concave_memory_does_not_grow_with_draws():
+    cls, sample = _offset_case_m12()
+    assert complexity._SIGN_BLOCK_ENTRIES // max(sample.n, 1266) >= 64  # 64 draws are one block
+    model = square_loss(1.0)
+    peaks = [_traced_peak(lambda: offset_complexity_mc(model, cls, None, sample, "exp_concave", draws=d, seed=3))
+             for d in (64, 1024)]
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+class _NeverEvaluated(FiniteClass):
+    def prediction_matrix(self, sample):
+        raise AssertionError("the class was evaluated")
+
+
+def test_fprime_matrix_refuses_a_class_above_the_ceiling():
+    sample = _const_sample(np.zeros(1000))
+    cls = _NeverEvaluated([Constant(float(v)) for v in range(100)])
+    # 100 + 4950 * 39 = 193150 rows x 1000 points > 2^27 entries
+    with pytest.raises(ValueError, match=r"193150 rows.*--levels 40.*n = 1000"):
+        fprime_matrix(cls, sample, 40)
+    with pytest.raises(ValueError, match="ceiling"):
+        offset_complexity_mc(square_loss(1.0), cls, None, sample, "exp_concave", draws=1, lambda_levels=40)
