@@ -77,7 +77,6 @@ from .margins import (
     certify_mu_d_convexity,
     contraction_check,
     empirical_convexity_check,
-    empirical_metric,
     erm_margin_check,
     exp_concave_margin_check,
     log_margin_scalar_check,

@@ -46,6 +46,11 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
+# verify's ceilings: the mu_d certificate builds several arrays of grid^2
+# pairs, and the margin and sandwich checks arrays of trials entries.
+_MAX_GRID = 1_000
+_MAX_TRIALS = 1_000_000
+
 
 class CliError(Exception):
     """Runtime/data failure (exit 1); usage problems exit 2 via argparse."""
@@ -79,7 +84,7 @@ def _build_loss(args) -> LossModel:
     if kind == "p_loss":
         return p_loss(args.p, args.B)
     if kind == "log":
-        return log_loss(args.regularize if args.regularize is not None else 1e-12)
+        return log_loss() if args.regularize is None else log_loss(args.regularize)
     if kind == "glm":
         if args.regularize is None:
             raise CliError("glm loss requires --regularize")
@@ -251,14 +256,16 @@ def _class_counts(member) -> list:
     return []
 
 
-def _load_class(args):
-    """The class spec of fit and offset, checked against the labels.
+def _load_problem(args):
+    """The loss, sample and class of fit and offset, and the config keys both echo.
 
-    With --loss glm, its class counts must be --k, as the labels are. Any
+    With --loss glm, the class counts must be --k, as the labels are. Any
     other loss has real targets and no labels, so no member may index a
     probability vector: a vector constant or a linear member with more than
     one weight row is an error.
     """
+    model = _build_loss(args)
+    sample = load_data_csv(args.data, args.loss, args.k)
     cls = load_class_spec(args.class_spec)
     if isinstance(cls, LinearBall):
         counts = [("linear_ball has", "linear", cls.k)] if args.loss == "glm" else []
@@ -270,7 +277,8 @@ def _load_class(args):
             raise CliError(f"class spec: {what} k = {k}, but --k is {args.k}")
         if args.loss != "glm" and (t == "constant" or k > 1):
             raise CliError(f"class spec: {what} k = {k}, but --loss {args.loss} has no class labels")
-    return cls
+    cfg = {key: getattr(args, key) for key in ("data", "class_spec", "loss", "p", "B", "k", "regularize")}
+    return model, sample, cls, cfg
 
 
 def _entropy_from_spec(obj) -> EntropyProfile:
@@ -317,9 +325,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    model = _build_loss(args)
-    sample = load_data_csv(args.data, args.loss, args.k)
-    cls = _load_class(args)
+    model, sample, cls, cfg = _load_problem(args)
     if isinstance(cls, LinearBall):
         if args.loss != "glm":
             raise CliError("linear_ball fitting is wired for the glm loss")
@@ -333,21 +339,14 @@ def cmd_fit(args) -> int:
             cls = FiniteClass(cls.members, args.regularize)
         fit = star_fit(model, cls, sample)
         record = _describe_fit(fit)
-    cfg = {
-        "data": args.data, "class_spec": args.class_spec, "loss": args.loss,
-        "p": args.p, "B": args.B, "k": args.k, "regularize": args.regularize,
-        "candidates": args.candidates,
-    }
-    payload = _header(args.seed, cfg)
+    payload = _header(args.seed, {**cfg, "candidates": args.candidates})
     payload["fit"] = record
     _emit_json(payload, args.out)
     return 0
 
 
 def cmd_offset(args) -> int:
-    model = _build_loss(args)
-    sample = load_data_csv(args.data, args.loss, args.k)
-    cls = _load_class(args)
+    model, sample, cls, cfg = _load_problem(args)
     if not isinstance(cls, FiniteClass):
         raise CliError("offset estimation needs a finite class spec")
     members = cls.effective_members()
@@ -367,13 +366,10 @@ def cmd_offset(args) -> int:
         model, cls, reference, sample, args.kind,
         draws=args.draws, seed=args.seed, lambda_levels=args.levels,
     )
-    cfg = {
-        "data": args.data, "class_spec": args.class_spec, "loss": args.loss,
-        "p": args.p, "B": args.B, "k": args.k, "regularize": args.regularize,
-        "kind": args.kind, "draws": args.draws, "levels": args.levels,
+    payload = _header(args.seed, {
+        **cfg, "kind": args.kind, "draws": args.draws, "levels": args.levels,
         "reference_index": args.reference_index,
-    }
-    payload = _header(args.seed, cfg)
+    })
     payload["estimate"] = {
         "offset_kind": est.offset_kind,
         "draws": est.draws,
@@ -535,6 +531,10 @@ def main(argv=None) -> int:
     if getattr(args, "trials", 3) < 3:
         # the softmax round-trip check draws trials // 3 probability vectors
         parser.error("--trials must be at least 3")
+    if getattr(args, "trials", 3) > _MAX_TRIALS:
+        parser.error(f"--trials must be at most {_MAX_TRIALS}")
+    if getattr(args, "grid", 2) > _MAX_GRID:
+        parser.error(f"--grid must be at most {_MAX_GRID}")
     try:
         return args.func(args)
     except (CliError, ValueError, ArithmeticError, RuntimeError) as exc:

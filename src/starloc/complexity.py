@@ -29,9 +29,12 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_LEVELS = 20
-# fprime_matrix refuses a mixture class of more entries than this (1 GiB of
-# float64) before it evaluates a single member.
+# fprime_matrix and offset_complexity_mc refuse, before they evaluate a
+# single member, a mixture class whose arrays of its size hold more entries
+# than this (1 GiB of float64) in all, or more weights than _MAX_LAMBDA_LEVELS,
+# which bounds the loop that writes the mixes one weight at a time.
 _FPRIME_MAX_ENTRIES = 1 << 27
+_MAX_LAMBDA_LEVELS = 1 << 16
 # offset_complexity_mc draws and scores at most this many entries of signs,
 # and of exp_concave scores t = psi S[d], at a time (one draw at least), so
 # its memory does not grow with the draw count.
@@ -59,6 +62,26 @@ class OffsetEstimate:
     coefficient: float
 
 
+def _mixture_rows(m: int, n: int, lambda_levels: int, copies: int = 1) -> int:
+    """Rows of the mixture class of m members at lambda_levels, checked against the ceilings.
+
+    copies is the number of arrays of the class's size a caller holds at
+    once: F, plus psi(F) for an exp_concave estimate.
+    """
+    if lambda_levels < 1:
+        raise ValueError("lambda_levels must be >= 1")
+    rows = m + m * (m - 1) // 2 * (lambda_levels - 1)
+    if copies * rows * n > _FPRIME_MAX_ENTRIES:
+        held = f"{rows} rows x n = {n}" + (" for F and again for psi(F)" if copies == 2 else "")
+        raise ValueError(
+            f"the mixture class has {rows} rows ({m} members at --levels {lambda_levels}); "
+            f"{held} is {copies * rows * n} entries, above the ceiling of {_FPRIME_MAX_ENTRIES}"
+        )
+    if lambda_levels > _MAX_LAMBDA_LEVELS:
+        raise ValueError(f"--levels {lambda_levels} is above the ceiling of {_MAX_LAMBDA_LEVELS}")
+    return rows
+
+
 def fprime_matrix(
     cls: FiniteClass, sample: Sample, lambda_levels: int = DEFAULT_LAMBDA_LEVELS
 ) -> np.ndarray:
@@ -69,22 +92,14 @@ def fprime_matrix(
     endpoints reproduce the members, so each member row appears exactly
     once and there are M + M(M-1)(L-1)/2 <= M^2 (L+1) rows, written in
     place one weight at a time. A class of more than _FPRIME_MAX_ENTRIES
-    rows x n entries is refused before any member is evaluated.
+    rows x n entries, or of more than _MAX_LAMBDA_LEVELS levels, is refused
+    before any member is evaluated.
     """
-    if lambda_levels < 1:
-        raise ValueError("lambda_levels must be >= 1")
     m, n = len(cls), sample.n
-    pairs = m * (m - 1) // 2
-    rows = m + pairs * (lambda_levels - 1)
-    if rows * n > _FPRIME_MAX_ENTRIES:
-        raise ValueError(
-            f"the mixture class has {rows} rows ({m} members at --levels {lambda_levels}); "
-            f"{rows} rows x n = {n} is {rows * n} entries, above the ceiling of {_FPRIME_MAX_ENTRIES}"
-        )
-    out = np.empty((rows, n))
+    out = np.empty((_mixture_rows(m, n, lambda_levels), n))
     base = out[:m]
     base[:] = cls.prediction_matrix(sample)
-    mixes = out[m:].reshape(pairs, lambda_levels - 1, n)
+    mixes = out[m:].reshape(m * (m - 1) // 2, lambda_levels - 1, n)
     i, j = np.triu_indices(m, 1)
     f_i, f_j = base[i], base[j]
     for k, lam in enumerate(np.arange(1, lambda_levels) / lambda_levels):
@@ -94,13 +109,8 @@ def fprime_matrix(
 
 def _check_signs(signs, n):
     signs = np.asarray(signs, dtype=float)
-    if (
-        signs.ndim not in (1, 2)
-        or signs.shape[-1] != n
-        or signs.size == 0
-        or not np.all((signs == 1.0) | (signs == -1.0))
-    ):
-        raise ValueError("signs must be a +/-1 vector, or a matrix of +/-1 rows, matching the sample size")
+    if signs.ndim != 2 or signs.shape[1] != n or signs.size == 0 or not np.all((signs == 1.0) | (signs == -1.0)):
+        raise ValueError("signs must be a (draws, n) matrix of +/-1 rows, n the sample size")
     return signs
 
 
@@ -159,12 +169,11 @@ def offset_sup_one_draw(
     sample: Sample,
     signs,
     offset_kind: str,
-) -> float | np.ndarray:
-    """Exact enumeration supremum for one sign vector, or for each row of a sign matrix.
+) -> np.ndarray:
+    """Exact enumeration supremum for each row of a (draws, n) sign matrix.
 
-    signs of shape (n,) give a float; signs of shape (draws, n) give an
-    array of draws suprema, each bit-identical to the single-vector call on
-    that row. The losses and the mu_d and uniform_convex penalties do not
+    Returns the draws suprema; each depends on its own row of signs only.
+    The losses and the mu_d and uniform_convex penalties do not
     depend on the signs and are computed once per call, in blocks of
     _ROW_BLOCK rows: besides F, a call holds psi(F) for exp_concave and
     otherwise only block-sized temporaries and one maximum per block and draw.
@@ -177,42 +186,39 @@ def offset_sup_one_draw(
     if F.shape[0] == 0:
         raise ValueError("empty class")
     n = sample.n
-    signs = _check_signs(signs, n)
-    S = np.atleast_2d(signs)
+    S = _check_signs(signs, n)
     blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, F.shape[0], _ROW_BLOCK)]
 
     if offset_kind == "exp_concave":
         psi_f = np.empty_like(F)
         for b in blocks:
             psi_f[b] = eval_loss(model, F[b], sample.y)
-        sups = _exp_concave_sups(model, psi_f, S)
+        return _exp_concave_sups(model, psi_f, S)
+    if reference_preds is None:
+        raise ValueError(f"{offset_kind} offset requires a reference predictor")
+    r = np.asarray(reference_preds, dtype=float)
+    psi_r = eval_loss(model, r, sample.y)
+    if offset_kind == "mu_d":
+        scale = 4.0 / n
+    elif offset_kind == "uniform_convex":
+        alpha = uniform_convexity_alpha(model)
+        scale = 4.0 * model.lip / n
     else:
-        if reference_preds is None:
-            raise ValueError(f"{offset_kind} offset requires a reference predictor")
-        r = np.asarray(reference_preds, dtype=float)
-        psi_r = eval_loss(model, r, sample.y)
+        raise ValueError(f"unknown offset kind {offset_kind!r}")
+    # block_max[k, d]: the supremum of draw d over row block k
+    block_max = np.empty((len(blocks), len(S)))
+    for k, b in enumerate(blocks):
+        f = F[b]
         if offset_kind == "mu_d":
-            scale = 4.0 / n
-        elif offset_kind == "uniform_convex":
-            alpha = uniform_convexity_alpha(model)
-            scale = 4.0 * model.lip / n
+            inc = eval_loss(model, f, sample.y) - psi_r[None, :]
+            pen = model.modulus.mu(model.distance(f, r[None, :], sample.y) / 3.0).mean(axis=1)
         else:
-            raise ValueError(f"unknown offset kind {offset_kind!r}")
-        # block_max[k, d]: the supremum of draw d over row block k
-        block_max = np.empty((len(blocks), len(S)))
-        for k, b in enumerate(blocks):
-            f = F[b]
-            if offset_kind == "mu_d":
-                inc = eval_loss(model, f, sample.y) - psi_r[None, :]
-                pen = model.modulus.mu(model.distance(f, r[None, :], sample.y) / 3.0).mean(axis=1)
-            else:
-                model.check_pred(f)
-                inc = f - r[None, :]
-                pen = (alpha * np.abs(inc) ** model.p / 3.0**model.p).mean(axis=1)
-            for d, s in enumerate(S):
-                block_max[k, d] = (scale * (inc @ s) - pen).max()
-        sups = block_max.max(axis=0)
-    return float(sups[0]) if signs.ndim == 1 else sups
+            model.check_pred(f)
+            inc = f - r[None, :]
+            pen = (alpha * np.abs(inc) ** model.p / 3.0**model.p).mean(axis=1)
+        for d, s in enumerate(S):
+            block_max[k, d] = (scale * (inc @ s) - pen).max()
+    return block_max.max(axis=0)
 
 
 def _draw_signs(seed: int, draw: int, n: int) -> np.ndarray:
@@ -223,7 +229,7 @@ def _draw_signs(seed: int, draw: int, n: int) -> np.ndarray:
 def offset_complexity_mc(
     model: LossModel,
     cls: FiniteClass,
-    reference: Predictor | np.ndarray | None,
+    reference: Predictor | None,
     sample: Sample,
     offset_kind: str,
     draws: int,
@@ -237,17 +243,15 @@ def offset_complexity_mc(
     scored in blocks of _SIGN_BLOCK_ENTRIES // max(n, rows of F) draws (one
     at least), which bounds both the signs and the exp_concave scores t of a
     block; each draw's supremum depends only on its own signs, so the
-    blocking moves no bit.
+    blocking moves no bit. The class is refused before any member is
+    evaluated if F, and psi(F) beside it for exp_concave, exceed the
+    entry ceiling (see fprime_matrix).
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    _mixture_rows(len(cls), sample.n, lambda_levels, 2 if offset_kind == "exp_concave" else 1)
     F = fprime_matrix(cls, sample, lambda_levels)
-    if reference is None:
-        ref = None
-    elif isinstance(reference, Predictor):
-        ref = prediction_vector(reference, sample)
-    else:
-        ref = np.asarray(reference, dtype=float)
+    ref = None if reference is None else prediction_vector(reference, sample)
     block = max(1, _SIGN_BLOCK_ENTRIES // max(sample.n, F.shape[0]))
     blocks = (range(start, min(start + block, draws)) for start in range(0, draws, block))
     sups = np.concatenate([

@@ -67,21 +67,23 @@ _SCREEN_TOL = 1e-9
 class StarFit:
     """Result of the two-stage procedure.
 
-    combined evaluates pointwise to lam * erm + (1 - lam) * partner in
-    prediction (likelihood) space; star_risk <= erm_risk always, because
-    the search segment contains lam = 1.
+    star_risk <= erm_risk always, because the search segment contains lam = 1.
     """
 
     erm: Predictor
     partner: Predictor
     lam: float
-    combined: Predictor
     erm_risk: float
     star_risk: float
     erm_index: int
     partner_index: int
     erm_preds: np.ndarray
     star_preds: np.ndarray
+
+    @property
+    def combined(self) -> StarMix:
+        """The star predictor: lam * erm + (1 - lam) * partner, pointwise in prediction (likelihood) space."""
+        return StarMix(self.lam, self.erm, self.partner)
 
 
 def empirical_risk(model: LossModel, predictor_or_preds, sample: Sample) -> float:
@@ -176,31 +178,36 @@ def _segment_risks(model: LossModel, a: np.ndarray, preds: np.ndarray, target, n
     return risk_fn
 
 
-def line_search_segment(model: LossModel, preds_a, preds_b, targets=None):
-    """Minimize lam -> mean psi(lam a + (1 - lam) b) by golden section.
+def line_search_segment(model: LossModel, preds_a, preds_b):
+    """Minimize lam -> mean -ln(lam a + (1 - lam) b) over two likelihood vectors by golden section.
 
     Returns (lam, risk); for identical endpoints returns lam = 1.
     """
+    if not model.is_likelihood:
+        raise ValueError(f"line_search_segment takes likelihoods, not {model.kind} loss predictions")
     a = np.asarray(preds_a, dtype=float)
     b = np.asarray(preds_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("segment endpoints must share a shape")
-    if model.is_likelihood:
-        t = None
-    elif targets is None:
-        raise ValueError(f"{model.kind} loss requires targets")
-    else:
-        t = np.asarray(targets, dtype=float)
     model.check_pred(a)
     model.check_pred(b)
-    model.check_target(t)
     if np.array_equal(a, b):
-        return 1.0, float(np.mean(eval_loss(model, a, t)))
-    # one segment over every (broadcast) example, in the order np.mean takes them
-    shape = a.shape if t is None else np.broadcast_shapes(a.shape, t.shape)
-    a, b, t = (None if v is None else np.broadcast_to(v, shape).ravel() for v in (a, b, t))
-    lam, risk = _golden_batch(_segment_risks(model, a, b[None, :], t, a.size), 1)
+        return 1.0, float(np.mean(eval_loss(model, a)))
+    # one segment over every example, in the order np.mean takes them
+    a, b = a.ravel(), b.ravel()
+    lam, risk = _golden_batch(_segment_risks(model, a, b[None, :], None, a.size), 1)
     return float(lam[0]), float(risk[0])
+
+
+def _pad_rows(rows: list, pad: float) -> np.ndarray:
+    """Stack 1-D rows and 2-D blocks of rows into one matrix, each row padded on the right with pad."""
+    rows = [np.atleast_2d(r) for r in rows]
+    out = np.full((sum(r.shape[0] for r in rows), max(r.shape[1] for r in rows)), pad)
+    at = 0
+    for r in rows:
+        out[at : at + r.shape[0], : r.shape[1]] = r
+        at += r.shape[0]
+    return out
 
 
 def _segment_blocks(model: LossModel, preds: list, targets: list, erm_rows: list):
@@ -223,19 +230,11 @@ def _segment_blocks(model: LossModel, preds: list, targets: list, erm_rows: list
     order = np.argsort([p.shape[1] for p in preds], kind="stable")
     for chunk in np.array_split(order, min(_BLOCKS, len(preds))):
         rows = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in chunk])
-        shape = (rows.size, max(preds[j].shape[1] for j in chunk))
-        a, stack, n = np.full(shape, pad), np.full(shape, pad), np.empty(rows.size)
-        target = None if model.is_likelihood else np.zeros(shape)
-        at = 0
-        for j in chunk:
-            m, k = preds[j].shape
-            stack[at : at + m, :k] = preds[j]
-            a[at : at + m, :k] = erm_rows[j]
-            if target is not None:
-                target[at : at + m, :k] = targets[j]
-            n[at : at + m] = k
-            at += m
-        yield rows, a, stack, target, n
+        a = _pad_rows([np.broadcast_to(erm_rows[j], preds[j].shape) for j in chunk], pad)
+        target = None if model.is_likelihood else _pad_rows(
+            [np.broadcast_to(targets[j], preds[j].shape) for j in chunk], 0.0)
+        n = np.repeat([float(preds[j].shape[1]) for j in chunk], [preds[j].shape[0] for j in chunk])
+        yield rows, a, _pad_rows([preds[j] for j in chunk], pad), target, n
 
 
 def _block_rows(block, k):
@@ -395,7 +394,6 @@ def _star_over_matrix(model: LossModel, classes: list, samples: list, preds: lis
                 erm=members[i],
                 partner=members[partner_idx],
                 lam=lam,
-                combined=StarMix(lam, members[i], members[partner_idx]),
                 erm_risk=erm_risk,
                 star_risk=star_risk,
                 erm_index=i,
@@ -462,14 +460,6 @@ def _stationary_lambda(model: LossModel, a, b, target, n):
         ends = np.zeros(seg[3].size), np.ones(seg[3].size)
         lam[inner] = bisect_root(lambda mid: deriv(mid, *seg) < 0.0, *ends)
     return lam
-
-
-def _pad_rows(rows: list, pad: float) -> np.ndarray:
-    """Stack 1-D rows into one matrix, each padded on the right with pad."""
-    out = np.full((len(rows), max(r.size for r in rows)), pad)
-    for i, r in enumerate(rows):
-        out[i, : r.size] = r
-    return out
 
 
 def erm_segment(model: LossModel, seg, sample):
@@ -650,7 +640,6 @@ def regularized_star_glm(
         erm=erm_member,
         partner=partner,
         lam=lam,
-        combined=StarMix(lam, erm_member, partner),
         erm_risk=fit.erm_risk,
         star_risk=star_risk,
         erm_index=0,

@@ -286,7 +286,7 @@ def _atom_oracle(model: LossModel, atoms, weights) -> AtomOracle:
 
 def population_excess_risk(
     model: LossModel,
-    predictor,
+    predictor: Predictor,
     oracle: Sample | AtomOracle,
     cls: FiniteClass | None = None,
     f_star: Predictor | None = None,
@@ -305,11 +305,7 @@ def population_excess_risk(
     def risks(preds):
         return np.average(eval_loss(model, preds, sample.y), axis=-1, weights=weights)
 
-    if isinstance(predictor, Predictor):
-        preds = prediction_vector(predictor, sample)
-    else:
-        preds = np.asarray(predictor, dtype=float)
-    risk = float(risks(preds))
+    risk = float(risks(prediction_vector(predictor, sample)))
     if f_star is not None:
         ref = float(risks(prediction_vector(f_star, sample)))
     elif cls is not None:

@@ -61,13 +61,6 @@ class ModulusDescriptor:
         z = np.asarray(z, dtype=float)
         return self.coef * z * z
 
-    def mu_inv(self, w):
-        """Inverse of mu on [0, inf)."""
-        w = np.asarray(w, dtype=float)
-        if np.any(w < -_DOMAIN_SLACK):
-            raise ValueError("mu_inv requires nonnegative input")
-        return np.sqrt(np.maximum(w, 0.0) / self.coef)
-
 
 @dataclass(frozen=True)
 class LossModel:
@@ -86,9 +79,6 @@ class LossModel:
     lip: float
     modulus: ModulusDescriptor
     p: float | None = None
-    B: float | None = None
-    delta: float | None = None  # likelihood floor for log/glm
-    k: int | None = None  # number of classes for glm
     target_lo: float | None = None
     target_hi: float | None = None
 
@@ -169,13 +159,12 @@ def _power_family(kind: str, p: float, B: float) -> LossModel:
         lip=p * 2.0**p * B ** (p - 1.0),
         modulus=modulus,
         p=p,
-        B=B,
         target_lo=-B,
         target_hi=B,
     )
 
 
-def _likelihood_family(kind: str, floor: float, **fields) -> LossModel:
+def _likelihood_family(kind: str, floor: float) -> LossModel:
     """-ln on likelihoods in [floor, 1]: m = ln(1/floor), eta = 1, lip = 1/floor."""
     m = math.log(1.0 / floor)
     return LossModel(
@@ -185,7 +174,6 @@ def _likelihood_family(kind: str, floor: float, **fields) -> LossModel:
         eta=1.0,
         lip=1.0 / floor,
         modulus=ModulusDescriptor("log_metric", coef=_increment_coef(m, 1.0)),
-        **fields,
     )
 
 
@@ -205,7 +193,7 @@ def log_loss(delta: float = LOG_DOMAIN_FLOOR) -> LossModel:
     """Log loss -ln(x) on likelihoods in [delta, 1]."""
     if not LOG_DOMAIN_FLOOR <= delta <= 1.0:
         raise ValueError(f"delta must lie in [{LOG_DOMAIN_FLOOR}, 1]")
-    return _likelihood_family("log", delta, delta=delta)
+    return _likelihood_family("log", delta)
 
 
 def glm_loss(k: int, delta: float) -> LossModel:
@@ -218,7 +206,7 @@ def glm_loss(k: int, delta: float) -> LossModel:
         raise ValueError("glm loss requires k >= 2 classes")
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    return _likelihood_family("glm", delta / k, delta=delta, k=k)
+    return _likelihood_family("glm", delta / k)
 
 
 def eval_loss(model: LossModel, pred, target=None):
@@ -289,11 +277,9 @@ def power_modulus(model: LossModel, x, y):
     Available for the p-loss with p >= 2; certified by the margin suite
     before the uniform-convexity offset uses it.
     """
-    if model.kind not in ("square", "p_loss") or model.p < 2.0:
-        raise ValueError("power modulus defined for p-loss with p >= 2")
+    alpha = uniform_convexity_alpha(model)
     model.check_pred(x)
     model.check_pred(y)
-    alpha = 2.0 ** (1.0 - model.p)
     out = alpha * np.abs(np.asarray(x, float) - np.asarray(y, float)) ** model.p
     return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 

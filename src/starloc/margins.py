@@ -29,7 +29,6 @@ __all__ = [
     "MarginCheckReport",
     "bregman_gap",
     "certify_mu_d_convexity",
-    "empirical_metric",
     "erm_margin_check",
     "star_margin_check",
     "exp_concave_margin_check",
@@ -79,8 +78,6 @@ def _random_pairs(model: LossModel, n: int, rng: np.random.Generator):
 
 def bregman_gap(model: LossModel, x, y, target=None):
     """psi(x) - psi(y) - psi'(y)(x - y); nonnegative for convex psi."""
-    model.check_pred(x)
-    model.check_pred(y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     gap = (
@@ -124,18 +121,6 @@ def certify_mu_d_convexity(
 
     slacks = np.concatenate([slack(gx, gy, gt), slack(rx, ry, rt)])
     return _report(f"mu_d_convexity_{model.kind}_{modulus}", slacks, tolerance)
-
-
-def empirical_metric(model: LossModel, preds_f, preds_g, targets=None) -> float:
-    """Sample metric mu^{-1}( mean_i mu(d(f_i, g_i)) ) in closed form."""
-    preds_f = np.asarray(preds_f, dtype=float)
-    preds_g = np.asarray(preds_g, dtype=float)
-    if preds_f.shape != preds_g.shape or preds_f.size == 0:
-        raise ValueError("prediction vectors must share a nonzero length")
-    model.check_pred(preds_f)
-    model.check_pred(preds_g)
-    avg = float(np.mean(model.modulus.mu(model.distance(preds_f, preds_g, targets))))
-    return float(model.modulus.mu_inv(avg))
 
 
 def _fit_margin(model, member_preds, targets, fit_preds, fit_risk, shrink, inequality_id, tolerance):

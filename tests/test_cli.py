@@ -354,6 +354,26 @@ def test_offset_levels_above_the_size_ceiling_exit_one(workdir, capsys, monkeypa
     assert "40000001 rows" in err and "--levels 40000000" in err and "n = 4" in err
 
 
+@pytest.mark.parametrize("levels, message", [
+    # 40,000,001 rows x n = 2 is under the 2^27-entry ceiling, but not with psi(F) beside F
+    ("40000000", "40000001 rows x n = 2 for F and again for psi(F) is 160000004 entries"),
+    # 70,001 rows x n = 2 is small, but the mixes would be written one weight at a time
+    ("70000", "--levels 70000 is above the ceiling of 65536"),
+])
+def test_offset_work_above_the_ceilings_exits_one(tmp_path, capsys, monkeypatch, levels, message):
+    def never(self, sample):
+        raise AssertionError("the class was evaluated")
+
+    monkeypatch.setattr(FiniteClass, "prediction_matrix", never)
+    (tmp_path / "data.csv").write_text("x1,y\n0.0,0.5\n0.0,-0.3\n")
+    (tmp_path / "cls.json").write_text(CLS)
+    rc = main(["offset", str(tmp_path / "data.csv"), "--class-spec", str(tmp_path / "cls.json"),
+               "--loss", "square", "--kind", "exp_concave", "--draws", "2", "--levels", levels])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("index", ["5", "2", "-1"])
 def test_offset_reference_index_out_of_range(workdir, capsys, index):
     rc = main(["offset", str(workdir / "data.csv"), "--class-spec", str(workdir / "cls.json"),
@@ -493,6 +513,27 @@ def test_verify_trials_below_minimum_is_a_usage_error(trials):
     assert proc.returncode == 2
     assert "error: --trials must be at least 3" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "1000001"), ("--grid", "1001")])
+def test_verify_sizes_above_the_ceilings_are_usage_errors(monkeypatch, capsys, flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(starloc.cli, "run_suite", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be at most {int(value) - 1}" in err and "Traceback" not in err
+
+
+def test_verify_sizes_at_the_ceilings_run(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(starloc.cli, "run_suite", lambda *args, **kwargs: calls.append(kwargs) or [])
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "all", "--trials", "1000000", "--grid", "1000", "--out", str(out)]) == 0
+    assert calls[0]["trials"] == 1_000_000 and calls[0]["grid"] == 1_000
 
 
 def test_verify_minimum_trials_runs(tmp_path):

@@ -70,8 +70,8 @@ def test_offset_sup_enumeration_oracle():
     sample = _const_sample([0.5])
     F = np.array([[0.0], [1.0]])
     ref = np.array([0.0])
-    signs = np.array([1.0])
-    val = offset_sup_one_draw(sq, F, ref, sample, signs, "mu_d")
+    signs = np.array([[1.0]])
+    (val,) = offset_sup_one_draw(sq, F, ref, sample, signs, "mu_d")
     psi0 = (0.0 - 0.5) ** 2
     psi1 = (1.0 - 0.5) ** 2
     expected = max(0.0, 4.0 * (psi1 - psi0) - (1.0 / 3.0) ** 2)
@@ -83,9 +83,9 @@ def test_offset_pair_symmetry(rng):
     n = 8
     sample = _const_sample(rng.uniform(-1, 1, n))
     F = rng.uniform(-1, 1, (5, n))
-    signs = rng.choice([-1.0, 1.0], n)
-    v1 = offset_sup_one_draw(sq, F, None, sample, signs, "exp_concave")
-    v2 = offset_sup_one_draw(sq, F, None, sample, -signs, "exp_concave")
+    signs = rng.choice([-1.0, 1.0], (1, n))
+    (v1,) = offset_sup_one_draw(sq, F, None, sample, signs, "exp_concave")
+    (v2,) = offset_sup_one_draw(sq, F, None, sample, -signs, "exp_concave")
     assert v1 == pytest.approx(v2, abs=1e-12)
     assert v1 >= 0.0
 
@@ -276,10 +276,9 @@ def test_batched_offset_equals_row_by_row(rng):
     for kind, model in (("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)),
                         ("uniform_convex", p_loss(3.0, 1.0))):
         batched = offset_sup_one_draw(model, F, ref, sample, S, kind)
-        single = [offset_sup_one_draw(model, F, ref, sample, s, kind) for s in S]
-        assert isinstance(single[0], float)
-        assert batched.shape == (5,)
-        np.testing.assert_array_equal(batched, single)
+        single = [offset_sup_one_draw(model, F, ref, sample, s[None, :], kind) for s in S]
+        assert batched.shape == (5,) and all(v.shape == (1,) for v in single)
+        np.testing.assert_array_equal(batched, np.concatenate(single))
 
 
 @pytest.mark.parametrize("kind, model", [("exp_concave", square_loss(1.0)), ("mu_d", square_loss(1.0)),
@@ -369,6 +368,14 @@ def test_offset_signs_shape_checked():
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 1, 2)), np.empty((0, 2)), np.full(2, 0.5)):
         with pytest.raises(ValueError):
             offset_sup_one_draw(square_loss(1.0), F, None, sample, bad, "exp_concave")
+
+
+@pytest.mark.parametrize("kind", ["exp_concave", "mu_d"])
+def test_offset_sup_refuses_a_sign_vector(kind):
+    sample = _const_sample([0.1, 0.2])
+    F = np.array([[0.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"\(draws, n\) matrix"):
+        offset_sup_one_draw(square_loss(1.0), F, F[0], sample, np.array([1.0, -1.0]), kind)
 
 
 def _loop_entropy(prof, V, eps):
@@ -520,3 +527,12 @@ def test_fprime_matrix_refuses_a_class_above_the_ceiling():
         fprime_matrix(cls, sample, 40)
     with pytest.raises(ValueError, match="ceiling"):
         offset_complexity_mc(square_loss(1.0), cls, None, sample, "exp_concave", draws=1, lambda_levels=40)
+    # 40,000,001 rows x n = 2: F alone is under 2^27 entries, F and psi(F) together are not
+    sample = _const_sample(np.zeros(2))
+    cls = _NeverEvaluated([Constant(0.1), Constant(0.2)])
+    with pytest.raises(ValueError, match=r"40000001 rows x n = 2 for F and again for psi\(F\) is 160000004 entries"):
+        offset_complexity_mc(square_loss(1.0), cls, None, sample, "exp_concave", draws=1, lambda_levels=40_000_000)
+    levels = complexity._MAX_LAMBDA_LEVELS + 1
+    with pytest.raises(ValueError, match=f"--levels {levels} is above the ceiling of {levels - 1}"):
+        fprime_matrix(cls, sample, levels)
+    assert fprime_matrix(FiniteClass(cls.members), sample, levels - 1).shape == (levels, 2)

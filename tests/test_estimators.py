@@ -165,15 +165,12 @@ def test_erm_finite_tie_break_under_permutation(perm):
 
 
 def test_line_search_examples(rng):
-    sq = square_loss(1.0)
-    lam, risk = line_search_segment(sq, np.array([1.0, 1.0]), np.array([-1.0, -1.0]), np.zeros(2))
-    assert lam == pytest.approx(0.5, abs=1e-9)
-    assert risk == pytest.approx(0.0, abs=1e-15)
-    a = np.array([0.3, -0.2])
-    lam, risk = line_search_segment(sq, a, a, np.zeros(2))
-    assert lam == 1.0
-    # log loss vs dense grid oracle
     lg = log_loss(0.01)
+    a = np.array([0.3, 0.2])
+    lam, risk = line_search_segment(lg, a, a)
+    assert lam == 1.0
+    assert risk == float(np.mean(-np.log(a)))
+    # vs dense grid oracle
     a = np.array([0.2, 0.9])
     b = np.array([0.9, 0.2])
     lam, risk = line_search_segment(lg, a, b)
@@ -184,14 +181,20 @@ def test_line_search_examples(rng):
 
 
 def test_line_search_never_beats_endpoints(rng):
-    sq = square_loss(1.0)
+    lg = log_loss(0.01)
     for _ in range(50):
         n = int(rng.integers(1, 16))
-        a, b, t = (rng.uniform(-1, 1, n) for _ in range(3))
-        lam, risk = line_search_segment(sq, a, b, t)
-        ra = float(np.mean((a - t) ** 2))
-        rb = float(np.mean((b - t) ** 2))
+        a, b = (rng.uniform(0.01, 1.0, n) for _ in range(2))
+        lam, risk = line_search_segment(lg, a, b)
+        ra = float(np.mean(-np.log(a)))
+        rb = float(np.mean(-np.log(b)))
         assert risk <= min(ra, rb) + 1e-12
+
+
+@pytest.mark.parametrize("model", [square_loss(1.0), p_loss(3.0, 1.0)], ids=["square", "p3"])
+def test_line_search_takes_likelihoods_only(model):
+    with pytest.raises(ValueError, match="takes likelihoods"):
+        line_search_segment(model, np.array([0.1, 0.2]), np.array([0.3, -0.4]))
 
 
 def _reference_golden(risk_fn, n_segments, tol=1e-10):
@@ -240,13 +243,15 @@ def test_segment_search_matches_checked_golden_section(model, rng):
         fit = star_fit(model, FiniteClass([Tabular(v) for v in preds]), sample)
         assert (fit.erm_index, fit.partner_index, fit.lam, fit.star_risk) == _reference_star(model, preds, target)
 
+        if not model.is_likelihood:
+            continue
         a, b = preds[0], preds[-1]
 
         def risk_fn(lams):
-            return np.array([np.mean(eval_loss(model, lams[0] * a + (1.0 - lams[0]) * b, target))])
+            return np.array([np.mean(eval_loss(model, lams[0] * a + (1.0 - lams[0]) * b))])
 
         lam, risk = _reference_golden(risk_fn, 1)
-        assert line_search_segment(model, a, b, target) == (float(lam[0]), float(risk[0]))
+        assert line_search_segment(model, a, b) == (float(lam[0]), float(risk[0]))
 
 
 def _screen_cases(model, rng, n=60):
@@ -332,17 +337,15 @@ def test_segment_search_rejects_bad_endpoints(bad):
     good = np.array([0.1, -0.3, 0.5])
     broken = good.copy()
     broken[1] = bad
-    t = np.zeros(3)
+    with pytest.raises(ValueError):
+        star_fit(sq, FiniteClass([Tabular(good), Tabular(broken)]), _const_sample(np.zeros(3)))
+    lg = log_loss(0.01)
+    good = np.array([0.1, 0.3, 0.5])
+    broken = good.copy()
+    broken[1] = bad
     for a, b in ((broken, good), (good, broken)):
         with pytest.raises(ValueError):
-            line_search_segment(sq, a, b, t)
-    with pytest.raises(ValueError):
-        line_search_segment(sq, good, good[::-1], np.array([0.0, bad, 0.0]))
-    with pytest.raises(ValueError):
-        star_fit(sq, FiniteClass([Tabular(good), Tabular(broken)]), _const_sample(t))
-    lg = log_loss(0.01)
-    with pytest.raises(ValueError):
-        line_search_segment(lg, np.array([0.5, 0.2]), np.array([0.4, bad]))
+            line_search_segment(lg, a, b)
 
 
 def _star_problems(model, rng, sizes):

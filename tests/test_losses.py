@@ -118,7 +118,7 @@ def test_likelihood_draw_targets_draws_nothing(model):
 @pytest.mark.parametrize("model", [p_loss(3.0, 2.0), square_loss(0.5)], ids=["p3", "square"])
 def test_draw_targets_are_the_generator_uniforms(model):
     drawn = model.draw_targets(np.random.default_rng(5), (4, 6))
-    expected = np.random.default_rng(5).uniform(-model.B, model.B, (4, 6))
+    expected = np.random.default_rng(5).uniform(-model.target_hi, model.target_hi, (4, 6))
     assert drawn.shape == (4, 6) and np.array_equal(drawn, expected)
 
 

@@ -13,7 +13,6 @@ from starloc.margins import (
     certify_mu_d_convexity,
     contraction_check,
     empirical_convexity_check,
-    empirical_metric,
     erm_margin_check,
     exp_concave_margin_check,
     log_margin_scalar_check,
@@ -72,26 +71,6 @@ def test_certify_square_is_tight():
 def test_certify_power_modulus_p3():
     rep = certify_mu_d_convexity(p_loss(3.0, 1.0), grid_size=100, seed=0, modulus="power")
     assert rep.violations == 0
-
-
-def test_empirical_metric_examples():
-    sq = square_loss(2.0)
-    assert empirical_metric(sq, [1.0, 1.0], [0.0, 2.0], [0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert empirical_metric(sq, [0.7], [0.2], [0.0]) == pytest.approx(0.5, abs=1e-12)
-    lg = log_loss(0.5)
-    expected = math.sqrt(math.log(2.0) ** 2 / 2.0)
-    assert empirical_metric(lg, [0.5, 1.0], [1.0, 1.0]) == pytest.approx(expected, abs=1e-12)
-
-
-def test_empirical_metric_rms_triangle(rng):
-    sq = square_loss(1.0)
-    for _ in range(200):
-        n = int(rng.integers(1, 20))
-        f, g, h = (rng.uniform(-1, 1, n) for _ in range(3))
-        t = rng.uniform(-1, 1, n)
-        assert empirical_metric(sq, f, g, t) <= (
-            empirical_metric(sq, f, h, t) + empirical_metric(sq, h, g, t) + 1e-10
-        )
 
 
 def test_erm_margin_singleton_trivial():
