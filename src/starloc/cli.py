@@ -533,6 +533,9 @@ def main(argv=None) -> int:
         parser.error("--trials must be at least 3")
     if getattr(args, "trials", 3) > _MAX_TRIALS:
         parser.error(f"--trials must be at most {_MAX_TRIALS}")
+    if getattr(args, "grid", 2) < 2:
+        # every suite's flags are checked and echoed, whether or not it reads them
+        parser.error("--grid must be at least 2")
     if getattr(args, "grid", 2) > _MAX_GRID:
         parser.error(f"--grid must be at most {_MAX_GRID}")
     try:

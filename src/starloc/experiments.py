@@ -45,6 +45,8 @@ EXPERIMENT_NAMES = ("logistic_rate", "ploss_rate", "nonconvex_gap")
 _ORACLE_TAG = 777
 # Rows of the logistic oracle drawn, labelled, sorted and scored at a time.
 _ORACLE_CHUNK = 2**15
+# Floats of the one buffer (1 MB) that the scalar oracles draw into at a time.
+_DRAW_CHUNK = 2**17
 _DATA_TAG = 101
 # Integer config fields and their least values.
 _INT_FIELDS = {
@@ -351,20 +353,38 @@ def _twopoint_shift(sigma: float, n: int) -> float:
     return sigma / (4.0 * math.sqrt(n))
 
 
-def _twopoint_target_mean(config: ExperimentConfig, n: int, model: LossModel, z: np.ndarray) -> float:
+def _draw_chunks(draw, size: int, buf: np.ndarray):
+    """Fill buf with draw(out=...) until size values are drawn, yielding each filled view.
+
+    numpy's Generator draws element by element, so the views, in turn, hold
+    the stream of one size-value draw; only buf is allocated.
+    """
+    for start in range(0, size, buf.size):
+        chunk = buf[:min(buf.size, size - start)]
+        draw(out=chunk)
+        yield chunk
+
+
+def _twopoint_target_mean(config: ExperimentConfig, n: int, model: LossModel, buf: np.ndarray) -> float:
     """Mean of the size-n square-loss oracle's targets b + sigma * clip(z, -8, 8).
 
-    The normals are drawn into z, which is then turned into the targets in
-    place, element by element the same operations as that formula. Runs on
-    _block_nonconvex's worker thread, so it calls no layer function that
-    bench/tracer.py wraps: the tracer keeps one span stack for all threads.
+    The oracle_size normals are drawn into buf a chunk at a time, and each
+    chunk is turned into its targets in place, element by element the same
+    operations as that formula, then checked; the chunk sums are added in
+    draw order. Runs on _block_nonconvex's worker thread, so it calls no
+    layer function that bench/tracer.py wraps: the tracer keeps one span
+    stack for all threads.
     """
-    seeded_rng(config.seed, n, _ORACLE_TAG).standard_normal(out=z)
-    np.clip(z, -8.0, 8.0, out=z)
-    z *= config.sigma
-    z += _twopoint_shift(config.sigma, n)
-    model.check_target(z)
-    return float(np.mean(z))
+    rng = seeded_rng(config.seed, n, _ORACLE_TAG)
+    shift = _twopoint_shift(config.sigma, n)
+    total = 0.0
+    for z in _draw_chunks(rng.standard_normal, config.oracle_size, buf):
+        np.clip(z, -8.0, 8.0, out=z)
+        z *= config.sigma
+        z += shift
+        model.check_target(z)
+        total += float(np.sum(z))
+    return total / config.oracle_size
 
 
 def _twopoint_oracle(model: LossModel, mean: float) -> AtomOracle:
@@ -377,9 +397,10 @@ def _twopoint_oracle(model: LossModel, mean: float) -> AtomOracle:
 
 
 def _ploss_oracle(config: ExperimentConfig, model: LossModel) -> AtomOracle:
-    """The p-loss oracle sample takes two values, so it is their counts."""
+    """The p-loss oracle sample takes two values, so it is their counts, taken a chunk of uniforms at a time."""
     rng = seeded_rng(config.seed, _ORACLE_TAG)
-    high = int(np.count_nonzero(rng.random(config.oracle_size) < 0.2))
+    buf = np.empty(min(_DRAW_CHUNK, config.oracle_size))
+    high = sum(int(np.count_nonzero(u < 0.2)) for u in _draw_chunks(rng.random, config.oracle_size, buf))
     return _atom_oracle(model, _ploss_atoms(config), [high, config.oracle_size - high])
 
 
@@ -415,20 +436,21 @@ def _block_nonconvex(config: ExperimentConfig, cells: list) -> list:
     """Records of the nonconvex_gap cells.
 
     Every sample size's oracle target mean is submitted up front to one
-    worker thread, which draws them in turn into one buffer (numpy releases
-    the GIL during the fill) while this thread fits the replications. Only
-    the worker touches the buffer, so the records do not depend on the
-    scheduling, and the pool is shut down before the block returns.
+    worker thread, which draws them in turn, a chunk at a time, into one
+    buffer of at most _DRAW_CHUNK floats (numpy releases the GIL during the
+    fill) while this thread fits the replications. Only the worker touches
+    the buffer, so the records do not depend on the scheduling, and the
+    pool is shut down before the block returns.
     """
     if not cells:
         return []
     model = square_loss(config.c + 8.0 * config.sigma)
     best_member = Constant(config.c)
     groups = [(n, [rep for _, rep in group]) for n, group in itertools.groupby(cells, key=lambda cell: cell[0])]
-    z = np.empty(config.oracle_size)
+    buf = np.empty(min(_DRAW_CHUNK, config.oracle_size))
     out = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        means = [pool.submit(_twopoint_target_mean, config, n, model, z) for n, _ in groups]
+        means = [pool.submit(_twopoint_target_mean, config, n, model, buf) for n, _ in groups]
         for (n, reps), mean in zip(groups, means):
             b = _twopoint_shift(config.sigma, n)
             fits = []

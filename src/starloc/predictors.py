@@ -24,6 +24,7 @@ __all__ = [
     "FiniteClass",
     "SegmentClass",
     "LinearBall",
+    "class_labels",
     "clip_rows",
     "prediction_vector",
     "seeded_rng",
@@ -33,6 +34,19 @@ __all__ = [
 def seeded_rng(*keys) -> np.random.Generator:
     """Generator seeded from a tuple of ints: (seed, tag, ...) names an independent stream."""
     return np.random.default_rng(tuple(int(k) for k in keys))
+
+
+def class_labels(y, k: int) -> np.ndarray:
+    """Labels y as ints, checked to lie in 0..k-1.
+
+    The GLM kernels read row i's label entry of an (n, k) array as entry
+    i k + y_i of its flat view, so a label outside the range would read
+    another row's entry instead of failing.
+    """
+    labels = np.asarray(y, dtype=int)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"class labels must lie in 0..{k - 1}")
+    return labels
 
 
 def clip_rows(X: np.ndarray, radius: float) -> np.ndarray:
@@ -168,7 +182,7 @@ class Linear(Predictor):
         if self.k == 1:
             return self.scores(sample.X)[:, 0]
         p = self.probs(sample.X)
-        return p[np.arange(sample.n), np.asarray(sample.y, dtype=int)]
+        return p.ravel()[np.arange(sample.n) * self.k + class_labels(sample.y, self.k)]
 
     def with_floor(self, delta: float) -> Linear:
         if self.k == 1:

@@ -528,6 +528,28 @@ def test_verify_sizes_above_the_ceilings_are_usage_errors(monkeypatch, capsys, f
     assert f"error: {flag} must be at most {int(value) - 1}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["all", "margins", "losses"])
+@pytest.mark.parametrize("grid", ["-3", "0", "1"])
+def test_verify_grid_below_two_is_a_usage_error(monkeypatch, capsys, suite, grid):
+    # The floor holds for every suite, the losses suite too, which never reads --grid:
+    # every verify flag is checked and echoed in the config, whichever suite runs.
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(starloc.cli, "run_suite", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --grid must be at least 2" in err and "Traceback" not in err
+
+
+def test_verify_grid_at_the_floor_runs_and_is_echoed(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "margins", "--trials", "30", "--grid", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["grid"] == 2
+
+
 def test_verify_sizes_at_the_ceilings_run(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(starloc.cli, "run_suite", lambda *args, **kwargs: calls.append(kwargs) or [])

@@ -254,6 +254,35 @@ def test_segment_search_matches_checked_golden_section(model, rng):
         assert line_search_segment(model, a, b) == (float(lam[0]), float(risk[0]))
 
 
+def test_square_loss_segment_risks_match_abs_power_bit_for_bit():
+    # One segment per value, each at lam = 1 with target 0, so segment i's risk is values[i] squared
+    # by the p = 2 fast path; the general path takes |x| ** 2.0 of the same entry.
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-160, -1e-160, 1e154, -1.4e154, 1e200, -3.0, 0.1, 1.0 + 2.0**-52]
+    # 200 normals at each of seven magnitudes, 1e-3 to 1e3
+    scaled = np.random.default_rng(0).standard_normal((7, 200)) * 10.0 ** np.arange(-3, 4)[:, None]
+    values = np.concatenate([special, scaled.ravel()])
+    segments = values.size
+    with np.errstate(over="ignore"):
+        got = estimators._segment_risks(square_loss(1.0), values[:, None], np.zeros((segments, 1)), 0.0, 1)(
+            np.ones(segments))
+        expected = np.power(np.abs(values), 2.0)
+    assert np.array_equal(got, expected, equal_nan=True)
+    finite = ~np.isnan(expected)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_labels_outside_the_classes_are_rejected(label):
+    # The GLM kernels read row i's label entry at flat index i k + y_i, so a label
+    # outside 0..k-1 must fail rather than read a neighbouring row's entry.
+    sample = Sample(np.array([[0.5, -1.0], [1.0, 0.2]]), np.array([label, 0]))
+    with pytest.raises(ValueError, match=r"class labels must lie in 0\.\.1"):
+        erm_linear(LinearBall(2, 2, 1.0), sample)
+    with pytest.raises(ValueError, match=r"class labels must lie in 0\.\.1"):
+        Linear(np.eye(2), 1.0).evaluate(sample)
+
+
 def _screen_cases(model, rng, n=60):
     """(prediction matrix, target) cases: random classes of 1, 2, 3 and 25 members, a class
     with no star gain (constants on one side of every target; for the log loss any

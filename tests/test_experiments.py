@@ -247,15 +247,25 @@ def test_nonconvex_compressed_oracle_is_exact():
     assert erm_picked_best > 0
 
 
-def _serial_nonconvex_records(cfg, cells):
-    """The nonconvex block's records from a fresh oracle draw per sample size, scored after each fit."""
+def _serial_target_mean(cfg, n, chunk):
+    """The size-n oracle's target mean from one draw of all its normals: the chunk sums, added in order."""
+    b = cfg.sigma / (4.0 * math.sqrt(n))
+    rng = np.random.default_rng((cfg.seed, n, _ORACLE_TAG))
+    y = b + cfg.sigma * np.clip(rng.standard_normal(cfg.oracle_size), -8.0, 8.0)
+    return sum(float(np.sum(y[start:start + chunk])) for start in range(0, y.size, chunk)) / y.size
+
+
+def _serial_nonconvex_records(cfg, cells, chunk=None):
+    """The nonconvex block's records from a fresh oracle draw per sample size, scored after each fit.
+
+    The oracle means add the sums of chunks of chunk normals (default: the library's chunk size).
+    """
+    chunk = chunk or experiments._DRAW_CHUNK
     model = square_loss(cfg.c + 8.0 * cfg.sigma)
     out = []
     for n, group in itertools.groupby(cells, key=lambda cell: cell[0]):
         b = cfg.sigma / (4.0 * math.sqrt(n))
-        rng = np.random.default_rng((cfg.seed, n, _ORACLE_TAG))
-        y = b + cfg.sigma * np.clip(rng.standard_normal(cfg.oracle_size), -8.0, 8.0)
-        oracle = experiments._atom_oracle(model, [float(np.mean(y))], [1.0])
+        oracle = experiments._atom_oracle(model, [_serial_target_mean(cfg, n, chunk)], [1.0])
         for _, rep in group:
             sample, cls = gen_twopoint_data(n, cfg.c, b, cfg.sigma, (cfg.seed, n, rep, _DATA_TAG))
             fit = star_fit(model, cls, sample)
@@ -272,6 +282,58 @@ def test_overlapped_oracle_draws_match_serial_draws(seed):
     for block in (cells, cells[1::2]):  # a whole run, and one task of a two-process run
         assert experiments._block_nonconvex(cfg, block) == _serial_nonconvex_records(cfg, block)
     assert experiments._block_nonconvex(cfg, []) == []
+
+
+def test_chunked_oracle_draws_match_one_draw(monkeypatch):
+    # 100,003 normals in chunks of 4,096 floats: 24 whole chunks and a partial one.
+    monkeypatch.setattr(experiments, "_DRAW_CHUNK", 4096)
+    cfg = ExperimentConfig(name="nonconvex_gap", n_grid=(32, 64, 128), replications=2, seed=4,
+                           oracle_size=100_003)
+    cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+    assert experiments._block_nonconvex(cfg, cells) == _serial_nonconvex_records(cfg, cells, chunk=4096)
+    model = square_loss(cfg.c + 8.0 * cfg.sigma)
+    for n in cfg.n_grid:
+        b = cfg.sigma / (4.0 * math.sqrt(n))
+        y = b + cfg.sigma * np.clip(np.random.default_rng((cfg.seed, n, _ORACLE_TAG)).standard_normal(cfg.oracle_size),
+                                    -8.0, 8.0)
+        mean = experiments._twopoint_target_mean(cfg, n, model, np.empty(4096))
+        assert mean == pytest.approx(float(np.mean(y)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("chunk", [1000, None])  # None: the library's chunk size
+def test_chunked_ploss_count_equals_one_draw_count(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+    cfg = ExperimentConfig(name="ploss_rate", n_grid=(16, 32, 64), seed=6, oracle_size=300_007)
+    high = int(np.count_nonzero(np.random.default_rng((cfg.seed, _ORACLE_TAG)).random(cfg.oracle_size) < 0.2))
+    oracle = experiments._ploss_oracle(cfg, p_loss(cfg.p, cfg.B))
+    assert oracle.weights.tolist() == [high, cfg.oracle_size - high]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scalar_oracles_hold_memory_independent_of_oracle_size():
+    # Both oracles draw through one fixed-size buffer, so four times the points
+    # must not take more memory (one oracle-sized buffer would take four times as much).
+    def peaks(name, run):
+        configs = [ExperimentConfig(name=name, n_grid=(8, 16, 32), replications=1, seed=2, oracle_size=size)
+                   for size in (100_000, 1_000_000, 4_000_000)]
+        run(configs[0])  # a first call's one-time allocations are not the oracle's
+        return [_traced_peak(lambda: run(cfg)) for cfg in configs[1:]]
+
+    nonconvex = peaks("nonconvex_gap", lambda cfg: experiments._block_nonconvex(cfg, [(8, 0), (16, 0), (32, 0)]))
+    ploss = peaks("ploss_rate", lambda cfg: experiments._ploss_oracle(cfg, p_loss(cfg.p, cfg.B)))
+    for small, large in (nonconvex, ploss):
+        assert large <= 1.25 * small, (small, large)
+        assert large <= 2 * 8 * experiments._DRAW_CHUNK
 
 
 @pytest.mark.parametrize("layer, at_second_size", [
